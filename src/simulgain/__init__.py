@@ -2,13 +2,13 @@
 
 from .errors import BatchError, ConfigError, MetricError, NumericError, ShapeError
 from .losses import (
-    LabeledExample,
     LossWeights,
     align_target,
     batch_normalize,
     bce_align_loss,
     cov_loss,
     l2_loss,
+    loss_and_grad,
     mono_loss,
     mse_label_loss,
     total_loss,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BatchError, ConfigError, ShapeError
-from .numerics import sigmoid
+from .numerics import sigmoid, sigmoid_from_exp
 from .policy import PolicyVariant
 
 
@@ -35,19 +35,6 @@ class LossWeights:
             raise ConfigError("tau: must be > 0")
         if self.bn_epsilon <= 0:
             raise ConfigError("bn_epsilon: must be > 0")
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (state, oracle label) pair as sampled for training."""
-
-    features: np.ndarray
-    t_audio: float
-    token_index: int
-    label_partial_logp: float
-    label_full_logp: float
-    t_star: float | None
-    aligned: bool
 
 
 def _as_1d(name: str, values) -> np.ndarray:
@@ -96,27 +83,37 @@ def align_target(t_audio, t_star, tau: float):
     return sigmoid((np.asarray(t_star, dtype=np.float64) - np.asarray(t_audio, dtype=np.float64)) / tau)
 
 
-def bce_align_loss(q_logits, targets, mask=None) -> float:
-    """Mean binary cross-entropy of scores-as-logits against soft targets.
-
-    Masked-out entries contribute nothing; an all-masked batch scores 0.
-    """
-    q = _as_1d("q_logits", q_logits)
+def _align_inputs(q: np.ndarray, targets, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (targets, mask) of the alignment term; no mask means every entry."""
     y = _as_1d("targets", targets)
     if q.shape != y.shape:
         raise ShapeError(f"q_logits has length {q.shape[0]} but targets has length {y.shape[0]}")
     if y.size and (y.min() < 0.0 or y.max() > 1.0):
         raise ValueError("targets must lie in [0, 1]")
     if mask is None:
-        mask = np.ones(q.shape[0], dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != q.shape:
-            raise ShapeError(f"mask has length {mask.shape[0]} but q_logits has length {q.shape[0]}")
+        return y, np.ones(q.shape[0], dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != q.shape:
+        raise ShapeError(f"mask has length {mask.shape[0]} but q_logits has length {q.shape[0]}")
+    return y, mask
+
+
+def _bce_mean(q: np.ndarray, y: np.ndarray, mask: np.ndarray, e: np.ndarray) -> float:
+    """Masked mean BCE of logits ``q`` against ``y``, given ``e = exp(-|q|)``."""
+    per = np.maximum(q, 0.0) - q * y + np.log1p(e)
+    return float(per[mask].mean())
+
+
+def bce_align_loss(q_logits, targets, mask=None) -> float:
+    """Mean binary cross-entropy of scores-as-logits against soft targets.
+
+    Masked-out entries contribute nothing; an all-masked batch scores 0.
+    """
+    q = _as_1d("q_logits", q_logits)
+    y, mask = _align_inputs(q, targets, mask)
     if not mask.any():
         return 0.0
-    per = np.maximum(q, 0.0) - q * y + np.log1p(np.exp(-np.abs(q)))
-    return float(per[mask].mean())
+    return _bce_mean(q, y, mask, np.exp(-np.abs(q)))
 
 
 def mse_label_loss(q, labels) -> float:
@@ -143,14 +140,20 @@ def _mono_pair_terms(q, q_next, next_valid):
     return q_next, valid, int(valid.sum())
 
 
-def total_loss(variant: PolicyVariant, q, labels, weights: LossWeights, *,
-               q_next=None, next_valid=None, align_targets=None, align_mask=None,
-               objective: str = "cov") -> tuple[float, dict[str, float]]:
-    """Combined objective; returns (total, weighted per-term breakdown).
+def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
+                  q_next=None, next_valid=None, align_targets=None, align_mask=None,
+                  objective: str = "cov") -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
+    """Combined objective and its score gradients in one pass.
+
+    Returns (total, breakdown, d(total)/dq, d(total)/dq_next).  The
+    normalized labels, the hinge difference and exp(-|q|) are each computed
+    once and shared by the loss and the gradient.
 
     Breakdown values are the weighted contributions, so they sum to the total.
     ``align_active`` counts the examples actually used by the alignment term;
     for alignment-aware variants with no usable examples the term is 0.
+    ``dq_next`` is None unless the monotonicity term is active (``q_next``
+    given and ``lambda_mono > 0``).
 
     ``labels`` are always likelihood differences in the partial-minus-full
     direction.  The MSE ablation regresses the score onto the sign-flipped
@@ -159,70 +162,62 @@ def total_loss(variant: PolicyVariant, q, labels, weights: LossWeights, *,
     if objective not in ("cov", "mse"):
         raise ConfigError(f"objective: unknown value {objective!r}")
     q = _as_1d("q", q)
-    if objective == "cov":
-        fit = cov_loss(q, labels, weights.bn_epsilon)
-    else:
-        fit = mse_label_loss(q, -np.asarray(labels, dtype=np.float64))
-
-    mono = 0.0
-    if q_next is not None and weights.lambda_mono > 0:
-        q_next_arr, valid, n_pairs = _mono_pair_terms(q, q_next, next_valid)
-        if n_pairs:
-            hinge = np.maximum(0.0, q - q_next_arr)
-            mono = float(hinge[valid].sum() / n_pairs)
-
-    l2 = l2_loss(q)
-
-    align = 0.0
-    align_active = 0
-    if variant.uses_alignment_loss and align_targets is not None:
-        mask = align_mask if align_mask is not None else np.ones(q.shape[0], dtype=bool)
-        align_active = int(np.asarray(mask, dtype=bool).sum())
-        align = bce_align_loss(q, align_targets, mask)
-
-    breakdown = {
-        "cov": fit,
-        "mono": weights.lambda_mono * mono,
-        "l2": weights.lambda_l2 * l2,
-        "align": weights.lambda_align * align if variant.uses_alignment_loss else 0.0,
-        "align_active": float(align_active),
-    }
-    total = breakdown["cov"] + breakdown["mono"] + breakdown["l2"] + breakdown["align"]
-    breakdown["total"] = total
-    return total, breakdown
-
-
-def total_loss_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
-                    q_next=None, next_valid=None, align_targets=None, align_mask=None,
-                    objective: str = "cov") -> tuple[np.ndarray, np.ndarray | None]:
-    """d(total)/dq and d(total)/dq_next for the same arguments as :func:`total_loss`."""
-    if objective not in ("cov", "mse"):
-        raise ConfigError(f"objective: unknown value {objective!r}")
-    q = _as_1d("q", q)
     labels = _as_1d("labels", labels)
     if q.shape != labels.shape:
         raise ShapeError(f"q has length {q.shape[0]} but labels has length {labels.shape[0]}")
     batch = q.shape[0]
     if objective == "cov":
-        dq = batch_normalize(labels, weights.bn_epsilon) / batch
+        normalized = batch_normalize(labels, weights.bn_epsilon)
+        fit = float(np.mean(q * normalized))
+        dq = normalized / batch
     else:
+        fit = mse_label_loss(q, -labels)
         dq = 2.0 * (q + labels) / batch
     dq = dq + weights.lambda_l2 * 2.0 * q / batch
 
+    mono = 0.0
     dq_next = None
     if q_next is not None and weights.lambda_mono > 0:
         q_next_arr, valid, n_pairs = _mono_pair_terms(q, q_next, next_valid)
         dq_next = np.zeros(batch)
         if n_pairs:
-            active = ((q - q_next_arr) > 0.0) & valid
+            diff = q - q_next_arr
+            mono = float(np.maximum(0.0, diff)[valid].sum() / n_pairs)
+            active = (diff > 0.0) & valid
             dq = dq + weights.lambda_mono * active / n_pairs
             dq_next = -weights.lambda_mono * active.astype(np.float64) / n_pairs
 
+    align = 0.0
+    align_active = 0
     if variant.uses_alignment_loss and align_targets is not None:
-        y = _as_1d("align_targets", align_targets)
-        mask = align_mask if align_mask is not None else np.ones(batch, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        n_used = int(mask.sum())
-        if n_used:
-            dq = dq + weights.lambda_align * (sigmoid(q) - y) * mask / n_used
+        y, mask = _align_inputs(q, align_targets, align_mask)
+        align_active = int(mask.sum())
+        if align_active:
+            e = np.exp(-np.abs(q))
+            align = _bce_mean(q, y, mask, e)
+            dq = dq + weights.lambda_align * (sigmoid_from_exp(q, e) - y) * mask / align_active
+
+    breakdown = {
+        "cov": fit,
+        "mono": weights.lambda_mono * mono,
+        "l2": weights.lambda_l2 * l2_loss(q),
+        "align": weights.lambda_align * align if variant.uses_alignment_loss else 0.0,
+        "align_active": float(align_active),
+    }
+    total = breakdown["cov"] + breakdown["mono"] + breakdown["l2"] + breakdown["align"]
+    breakdown["total"] = total
+    return total, breakdown, dq, dq_next
+
+
+def total_loss(variant: PolicyVariant, q, labels, weights: LossWeights,
+               **terms) -> tuple[float, dict[str, float]]:
+    """(total, weighted per-term breakdown) of :func:`loss_and_grad`, same arguments."""
+    total, breakdown, _, _ = loss_and_grad(variant, q, labels, weights, **terms)
+    return total, breakdown
+
+
+def total_loss_grad(variant: PolicyVariant, q, labels, weights: LossWeights,
+                    **terms) -> tuple[np.ndarray, np.ndarray | None]:
+    """(d(total)/dq, d(total)/dq_next) of :func:`loss_and_grad`, same arguments."""
+    _, _, dq, dq_next = loss_and_grad(variant, q, labels, weights, **terms)
     return dq, dq_next

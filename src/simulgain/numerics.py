@@ -8,11 +8,15 @@ import numpy as np
 def sigmoid(x):
     """Numerically stable logistic function; preserves scalar vs array inputs."""
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out[0]) if scalar else out
+    out = sigmoid_from_exp(arr, np.exp(-np.abs(arr)))
+    return float(out) if arr.ndim == 0 else out
+
+
+def sigmoid_from_exp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(x) given ``e = exp(-|x|)``, for callers that also need ``e``.
+
+    1 / (1 + e) for x >= 0 and e / (1 + e) below; e never exceeds 1, so
+    neither branch overflows.
+    """
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)

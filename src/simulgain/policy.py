@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 
-_INIT_STREAM = 0xC9
-
 
 class PolicyVariant(str, Enum):
     REINA = "REINA"
@@ -121,7 +119,7 @@ def _check_variant(config: PolicyConfig, variant: PolicyVariant | None) -> None:
         raise ConfigError(f"variant {variant.value} incompatible with use_time_embedding={config.use_time_embedding}")
 
 
-def _net_input(params: PolicyParams, features: np.ndarray, t_audio) -> np.ndarray:
+def _net_input(params: PolicyParams, features: np.ndarray, t_audio, embedding=None) -> np.ndarray:
     cfg = params.config
     if features.ndim != 2 or features.shape[1] != cfg.input_dim:
         raise ShapeError(f"features shape {features.shape} incompatible with input_dim={cfg.input_dim}")
@@ -130,13 +128,22 @@ def _net_input(params: PolicyParams, features: np.ndarray, t_audio) -> np.ndarra
     t = np.asarray(t_audio, dtype=np.float64)
     if t.shape != (features.shape[0],):
         raise ShapeError(f"t_audio shape {t.shape} does not match batch size {features.shape[0]}")
-    return features + time_embedding(t, cfg.input_dim, cfg.time_base)
+    if embedding is None:
+        embedding = time_embedding(t, cfg.input_dim, cfg.time_base)
+    elif embedding.shape != features.shape:
+        raise ShapeError(f"embedding shape {embedding.shape} does not match features shape {features.shape}")
+    return features + embedding
 
 
-def forward_with_cache(params: PolicyParams, features, t_audio, variant: PolicyVariant | None = None):
-    """Batched forward pass; returns (scores, per-layer activations for backprop)."""
+def forward_with_cache(params: PolicyParams, features, t_audio, variant: PolicyVariant | None = None, *,
+                       embedding: np.ndarray | None = None):
+    """Batched forward pass; returns (scores, per-layer activations for backprop).
+
+    ``embedding`` is ``time_embedding(t_audio, ...)`` computed by the caller,
+    so two passes at the same audio times can share it.
+    """
     _check_variant(params.config, variant)
-    x = _net_input(params, np.asarray(features, dtype=np.float64), t_audio)
+    x = _net_input(params, np.asarray(features, dtype=np.float64), t_audio, embedding)
     activations = [x]
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
@@ -159,18 +166,24 @@ def forward(params: PolicyParams, features, t_audio: float, variant: PolicyVaria
     return float(scores[0])
 
 
-def backward_from_cache(params: PolicyParams, activations, upstream) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of sum(upstream * scores) w.r.t. weights and biases."""
+def backward_from_cache(params: PolicyParams, activations, upstream,
+                        out=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Exact gradients of sum(upstream * scores) w.r.t. weights and biases.
+
+    ``out`` is an optional (weights, biases) pair of arrays shaped like the
+    parameters, e.g. views of one flat vector; the gradients are written
+    into them and returned.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (activations[0].shape[0],):
         raise ShapeError(f"upstream shape {upstream.shape} does not match batch size {activations[0].shape[0]}")
-    n_layers = len(params.weights)
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    if out is None:
+        out = [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
+    grads_w, grads_b = out
     delta = upstream[:, None]
-    for i in reversed(range(n_layers)):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+    for i in reversed(range(len(params.weights))):
+        np.matmul(activations[i].T, delta, out=grads_w[i])
+        np.sum(delta, axis=0, out=grads_b[i])
         if i:
             delta = (delta @ params.weights[i].T) * (1.0 - activations[i] ** 2)
     return grads_w, grads_b
@@ -189,22 +202,28 @@ def params_to_vector(params: PolicyParams) -> np.ndarray:
     return np.concatenate([a.ravel() for a in (*params.weights, *params.biases)])
 
 
-def vector_to_params(config: PolicyConfig, vector: np.ndarray) -> PolicyParams:
+def vector_views(config: PolicyConfig, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weights and biases as reshaped views of a flat float64 vector in :func:`params_to_vector` order.
+
+    Writing to a view writes to ``vector``, so one vector operation updates
+    every layer.
+    """
     dims = config.layer_dims
     shapes = [(a, b) for a, b in zip(dims[:-1], dims[1:])] + [(b,) for b in dims[1:]]
     arrays, offset = [], 0
     for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(np.asarray(vector[offset:offset + size], dtype=np.float64).reshape(shape).copy())
+        size = math.prod(shape)
+        arrays.append(vector[offset:offset + size].reshape(shape))
         offset += size
     if offset != vector.shape[0]:
         raise ShapeError(f"vector of length {vector.shape[0]} does not match {offset} parameters")
     n_layers = len(dims) - 1
-    return PolicyParams(config=config, weights=arrays[:n_layers], biases=arrays[n_layers:])
+    return arrays[:n_layers], arrays[n_layers:]
 
 
-def grads_to_vector(grads_w, grads_b) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in (*grads_w, *grads_b)])
+def vector_to_params(config: PolicyConfig, vector: np.ndarray) -> PolicyParams:
+    weights, biases = vector_views(config, np.array(vector, dtype=np.float64))
+    return PolicyParams(config=config, weights=weights, biases=biases)
 
 
 # -- checkpoint format --------------------------------------------------------

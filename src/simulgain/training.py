@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .losses import LabeledExample, LossWeights, align_target, total_loss, total_loss_grad
+from .losses import LossWeights, align_target, loss_and_grad, total_loss
+from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .numerics import sigmoid
 from .policy import (
     PolicyConfig,
@@ -26,10 +27,11 @@ from .policy import (
     backward_from_cache,
     forward_batch,
     forward_with_cache,
-    grads_to_vector,
     init_params,
     params_to_vector,
+    time_embedding,
     vector_to_params,
+    vector_views,
 )
 from .synth import OracleModel, utterance_hash
 
@@ -146,17 +148,6 @@ class LabeledBatch:
     def labels(self) -> np.ndarray:
         return self.label_partial_logp - self.label_full_logp
 
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(
-            features=self.features[i],
-            t_audio=float(self.t_audio[i]),
-            token_index=int(self.token_index[i]),
-            label_partial_logp=float(self.label_partial_logp[i]),
-            label_full_logp=float(self.label_full_logp[i]),
-            t_star=float(self.t_star[i]) if np.isfinite(self.t_star[i]) else None,
-            aligned=bool(self.aligned[i]),
-        )
-
 
 def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
                  index: DatasetIndex | None = None) -> LabeledBatch:
@@ -187,41 +178,45 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
         n = (rng.random(config.batch_size) * idx.n_tokens[u]).astype(np.int64)
         j = (rng.random(config.batch_size) * (idx.n_frames[u] + 1)).astype(np.int64)
 
-    t = j * cfg.frame_s
-    flat = idx.offsets[u] + n
+    # Rows [0, b) hold the pending token n of each draw and rows [b, 2b) the
+    # adjacent token at the same audio prefix, for the monotonicity hinge.
+    b = u.shape[0]
+    next_valid = (n + 1) < idx.n_tokens[u]
+    u2 = np.concatenate([u, u])
+    j2 = np.concatenate([j, j])
+    n2 = np.concatenate([n, np.minimum(n + 1, idx.n_tokens[u] - 1)])
+    flat = idx.offsets[u2] + n2
+    t2 = j2 * cfg.frame_s
     t_star = idx.flat_boundaries[flat]
+    # One sigmoid for the ramps of both views at t and of the pending token at T.
+    ramps = sigmoid(np.concatenate([t2 - t_star, idx.duration[u] - t_star[:b]]) / cfg.ramp_s)
+    ramp = ramps[:2 * b]
     span = cfg.p_max - cfg.p_min
-    ramp_now = sigmoid((t - t_star) / cfg.ramp_s)
-    p_now = cfg.p_min + span * ramp_now
-    p_full = cfg.p_min + span * sigmoid((idx.duration[u] - t_star) / cfg.ramp_s)
+    p_now = cfg.p_min + span * ramp[:b]
+    p_full = cfg.p_min + span * ramps[2 * b:]
     label_partial = np.log(p_now)
     if config.label_noise_std > 0.0:
-        label_partial = label_partial + config.label_noise_std * rng.standard_normal(u.shape[0])
+        label_partial = label_partial + config.label_noise_std * rng.standard_normal(b)
 
-    evidence = np.where(idx.flat_ambiguous[flat], 0.0, ramp_now)
+    evidence = np.where(idx.flat_ambiguous[flat], 0.0, ramp)
     if cfg.noise_std > 0.0:
         from .synth import _hash_standard_normal  # shared keyed-noise core
 
-        evidence = evidence + cfg.noise_std * _hash_standard_normal(cfg.rng_seed, idx.utt_keys[u], j, n)
-    features = oracle.mix_features(idx.flat_tokens[flat], evidence, n / idx.n_tokens[u])
-
-    # Adjacent-token view at the same audio prefix, for the monotonicity hinge.
-    next_valid = (n + 1) < idx.n_tokens[u]
-    n2 = np.minimum(n + 1, idx.n_tokens[u] - 1)
-    flat2 = idx.offsets[u] + n2
-    ramp2 = sigmoid((t - idx.flat_boundaries[flat2]) / cfg.ramp_s)
-    evidence2 = np.where(idx.flat_ambiguous[flat2], 0.0, ramp2)
-    if cfg.noise_std > 0.0:
-        evidence2 = evidence2 + cfg.noise_std * _hash_standard_normal(cfg.rng_seed, idx.utt_keys[u], j, n2)
-    features_next = oracle.mix_features(idx.flat_tokens[flat2], evidence2, n2 / idx.n_tokens[u])
+        evidence = evidence + cfg.noise_std * _hash_standard_normal(cfg.rng_seed, idx.utt_keys[u2], j2, n2)
+    parts = (idx.flat_tokens[flat], evidence, n2 / idx.n_tokens[u2])
+    if b > 1:
+        mixed = oracle.mix_features(*parts)
+        features, features_next = mixed[:b], mixed[b:]
+    else:  # BLAS takes another path for a one-row product; keep each view's own
+        features, features_next = (oracle.mix_features(*(p[i:i + 1] for p in parts)) for i in (0, 1))
 
     return LabeledBatch(
         features=features,
-        t_audio=t,
+        t_audio=t2[:b],
         token_index=n,
         label_partial_logp=label_partial,
         label_full_logp=np.log(p_full),
-        t_star=np.where(idx.aligned[u], t_star, np.nan),
+        t_star=np.where(idx.aligned[u], t_star[:b], np.nan),
         aligned=idx.aligned[u].copy(),
         features_next=features_next,
         next_valid=next_valid,
@@ -229,28 +224,106 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
 
 
 class AdamW:
-    """Adam with decoupled weight decay; single-threaded, deterministic."""
+    """Adam with decoupled weight decay over one flat parameter vector; deterministic.
 
-    def __init__(self, params: PolicyParams, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    Each step runs the per-element update
+    ``theta -= lr * ((m / c1) / (sqrt(v / c2) + eps) + weight_decay * theta)``
+    as a few whole-vector operations in that floating-point order, with
+    bias corrections c1 = 1 - beta1**t and c2 = 1 - beta2**t.
+    """
+
+    def __init__(self, size: int, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(a) for a in (*params.weights, *params.biases)]
-        self.v = [np.zeros_like(a) for a in (*params.weights, *params.biases)]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._tmp = np.empty(size)
+        self._update = np.empty(size)
 
-    def step(self, params: PolicyParams, grads_w, grads_b, lr: float) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        targets = (*params.weights, *params.biases)
-        grads = (*grads_w, *grads_b)
-        for target, grad, m, v in zip(targets, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            target -= lr * ((m / c1) / (np.sqrt(v / c2) + self.eps) + self.weight_decay * target)
+        m, v, tmp, update = self.m, self.v, self._tmp, self._update
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        v += np.multiply(tmp, grad, out=tmp)
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, c1, out=update)
+        update /= tmp
+        update += np.multiply(theta, self.weight_decay, out=tmp)
+        update *= lr
+        theta -= update
+
+
+class _FlatHead:
+    """Policy parameters and their gradient, each one flat vector with per-layer views.
+
+    ``params`` views ``theta`` and ``grads`` views ``grad``, so the optimizer
+    updates every layer at once and both backward passes of a step land in
+    one buffer.
+    """
+
+    def __init__(self, params: PolicyParams):
+        config = params.config
+        self.theta = params_to_vector(params)
+        self.params = PolicyParams(config, *vector_views(config, self.theta))
+        self.grad = np.zeros_like(self.theta)
+        self.grads = vector_views(config, self.grad)
+        self._next_grad = np.zeros_like(self.theta)
+        self._next_grads = vector_views(config, self._next_grad)
+        self._squares = np.zeros_like(self.theta)
+        self._square_views = [a for part in vector_views(config, self._squares) for a in part]
+        self._activations = None
+
+    def loss_and_param_grad(self, variant: PolicyVariant, weights: LossWeights, objective: str,
+                            features, features_next, t_audio, labels, next_valid,
+                            align_targets, align_mask) -> dict[str, float]:
+        """Loss breakdown of one step; leaves d(total)/d(theta) in ``grad``.
+
+        ``features_next`` is None when the monotonicity term is off.  The
+        time embedding, when the head uses one, is computed once and added
+        to both token views.
+        """
+        params = self.params
+        cfg = params.config
+        embedding = time_embedding(t_audio, cfg.input_dim, cfg.time_base) if cfg.use_time_embedding else None
+        scores, cache = forward_with_cache(params, features, t_audio, embedding=embedding)
+        scores_next = cache_next = None
+        if features_next is not None:
+            scores_next, cache_next = forward_with_cache(params, features_next, t_audio, embedding=embedding)
+        _, breakdown, dq, dq_next = loss_and_grad(
+            variant, scores, labels, weights, q_next=scores_next, next_valid=next_valid,
+            align_targets=align_targets, align_mask=align_mask, objective=objective)
+        for term in ("cov", "mono", "l2", "align", "total"):
+            if not math.isfinite(breakdown[term]):
+                raise NumericError(f"non-finite {term} loss")
+        # Hold the activations until the next step replaces them.  Freed here,
+        # their ~0.5 MiB at the top of the heap goes back to the OS and is
+        # faulted in again by the next step: about 200 page faults, ~15% of a
+        # step on a 2-vCPU VM with glibc malloc.
+        self._activations = (cache, cache_next)
+        backward_from_cache(params, cache, dq, out=self.grads)
+        if dq_next is not None:
+            backward_from_cache(params, cache_next, dq_next, out=self._next_grads)
+            self.grad += self._next_grad
+        return breakdown
+
+    def grad_norm(self) -> float:
+        """Euclidean norm of ``grad``.
+
+        The squares are summed layer by layer and the layer sums added in
+        order: one sum over the flat vector rounds differently, and the
+        training CSV's ``grad_norm`` column keeps its bits.
+        """
+        np.multiply(self.grad, self.grad, out=self._squares)
+        return float(np.sqrt(sum(float(a.sum()) for a in self._square_views)))
 
 
 def _alignment_arrays(batch: LabeledBatch, weights: LossWeights):
@@ -262,7 +335,10 @@ def _alignment_arrays(batch: LabeledBatch, weights: LossWeights):
 
 def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
           train_config: TrainConfig, loss_weights: LossWeights) -> TrainReport:
-    """Optimize the policy head; deterministic given the config seeds."""
+    """Optimize the policy head; deterministic given the config seeds.
+
+    The returned parameters are views of one flat vector.
+    """
     variant = train_config.variant
     if variant.uses_time_embedding != policy_config.use_time_embedding:
         raise ConfigError(f"variant {variant.value} requires use_time_embedding={variant.uses_time_embedding}")
@@ -270,46 +346,35 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
-    params = init_params(policy_config, [train_config.rng_seed, _INIT_STREAM])
+    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]))
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
-    optimizer = AdamW(params, betas=train_config.adam_betas, eps=train_config.adam_eps,
+    optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)
     use_mono = loss_weights.lambda_mono > 0
     records: list[StepRecord] = []
 
     for step in range(train_config.steps):
         batch = sample_batch(dataset, oracle, train_config, rng, index=index)
-        scores, cache = forward_with_cache(params, batch.features, batch.t_audio)
-        scores_next = cache_next = None
-        if use_mono:
-            scores_next, cache_next = forward_with_cache(params, batch.features_next, batch.t_audio)
         targets = mask = None
         if variant.uses_alignment_loss:
             targets, mask = _alignment_arrays(batch, loss_weights)
-
-        loss_args = dict(q_next=scores_next, next_valid=batch.next_valid if use_mono else None,
-                         align_targets=targets, align_mask=mask, objective=train_config.objective)
-        total, breakdown = total_loss(variant, scores, batch.labels, loss_weights, **loss_args)
-        for term in ("cov", "mono", "l2", "align", "total"):
-            if not math.isfinite(breakdown[term]):
-                raise NumericError(f"non-finite {term} loss at step {step}")
-
-        dq, dq_next = total_loss_grad(variant, scores, batch.labels, loss_weights, **loss_args)
-        grads_w, grads_b = backward_from_cache(params, cache, dq)
-        if dq_next is not None and cache_next is not None:
-            extra_w, extra_b = backward_from_cache(params, cache_next, dq_next)
-            grads_w = [g + e for g, e in zip(grads_w, extra_w)]
-            grads_b = [g + e for g, e in zip(grads_b, extra_b)]
-        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in (*grads_w, *grads_b))))
+        try:
+            breakdown = head.loss_and_param_grad(
+                variant, loss_weights, train_config.objective, batch.features,
+                batch.features_next if use_mono else None, batch.t_audio, batch.labels,
+                batch.next_valid if use_mono else None, targets, mask)
+        except NumericError as exc:
+            raise NumericError(f"{exc} at step {step}") from None
+        grad_norm = head.grad_norm()
 
         lr = train_config.lr
         if train_config.warmup_steps:
             lr *= min(1.0, (step + 1) / train_config.warmup_steps)
-        optimizer.step(params, grads_w, grads_b, lr)
+        optimizer.step(head.theta, head.grad, lr)
         records.append(StepRecord(step=step, loss_total=breakdown["total"], loss_cov=breakdown["cov"],
                                   loss_mono=breakdown["mono"], loss_l2=breakdown["l2"],
                                   loss_align=breakdown["align"], grad_norm=grad_norm))
-    return TrainReport(records=records, params=params)
+    return TrainReport(records=records, params=head.params)
 
 
 TRAINING_CSV_COLUMNS = ("step", "loss_total", "loss_cov", "loss_mono", "loss_l2", "loss_align", "grad_norm")
@@ -342,6 +407,8 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
                fd_step: float = 1e-5) -> float:
     """Worst relative disagreement between analytic and central-difference gradients.
 
+    The analytic gradient comes from the step code that ``train`` runs; the
+    central differences evaluate :func:`total_loss` on perturbed parameters.
     The relative error divides by max(|analytic|, |numeric|, 0.01), so tiny
     coordinates are held to a matching absolute tolerance.
     """
@@ -357,35 +424,20 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
     next_valid = rng.random(batch) < 0.8
     targets = rng.uniform(0.05, 0.95, batch)
     mask = rng.random(batch) < 0.7
-    params = init_params(policy_config, [seed, _CHECK_STREAM + 1])
-
-    loss_args = dict(q_next=None, next_valid=None, align_targets=targets, align_mask=mask,
-                     objective=objective)
-    use_mono = loss_weights.lambda_mono > 0
-    if use_mono:
-        loss_args.update(next_valid=next_valid)
+    if loss_weights.lambda_mono == 0:
+        feats_next = next_valid = None
+    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]))
+    head.loss_and_param_grad(variant, loss_weights, objective, feats, feats_next, t_audio, labels,
+                             next_valid, targets, mask)
+    analytic = head.grad
 
     def loss_at(p: PolicyParams) -> float:
         scores = forward_batch(p, feats, t_audio)
-        args = dict(loss_args)
-        if use_mono:
-            args["q_next"] = forward_batch(p, feats_next, t_audio)
-        return total_loss(variant, scores, labels, loss_weights, **args)[0]
+        q_next = None if feats_next is None else forward_batch(p, feats_next, t_audio)
+        return total_loss(variant, scores, labels, loss_weights, q_next=q_next, next_valid=next_valid,
+                          align_targets=targets, align_mask=mask, objective=objective)[0]
 
-    scores, cache = forward_with_cache(params, feats, t_audio)
-    args = dict(loss_args)
-    if use_mono:
-        scores_next, cache_next = forward_with_cache(params, feats_next, t_audio)
-        args["q_next"] = scores_next
-    dq, dq_next = total_loss_grad(variant, scores, labels, loss_weights, **args)
-    grads_w, grads_b = backward_from_cache(params, cache, dq)
-    if dq_next is not None:
-        extra_w, extra_b = backward_from_cache(params, cache_next, dq_next)
-        grads_w = [g + e for g, e in zip(grads_w, extra_w)]
-        grads_b = [g + e for g, e in zip(grads_b, extra_b)]
-    analytic = grads_to_vector(grads_w, grads_b)
-
-    theta = params_to_vector(params)
+    theta = head.theta
     dim = theta.shape[0]
     coords = rng.choice(dim, size=min(n_coords, dim), replace=False)
     worst = 0.0

@@ -11,7 +11,6 @@ from simulgain.policy import (
     backward,
     forward,
     forward_batch,
-    grads_to_vector,
     init_params,
     load_params,
     params_to_vector,
@@ -170,7 +169,7 @@ class TestBackward:
         times = rng.uniform(0, 10, 5)
         contract = rng.standard_normal(5)
         gw, gb = backward(params, feats, times, contract)
-        analytic = grads_to_vector(gw, gb)
+        analytic = params_to_vector(PolicyParams(params.config, gw, gb))
         theta = params_to_vector(params)
         h = 1e-5
         coords = rng.choice(theta.shape[0], size=100, replace=False)

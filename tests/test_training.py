@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from simulgain import training
 from simulgain.errors import ConfigError, NumericError
-from simulgain.losses import LossWeights
+from simulgain.losses import LossWeights, align_target, total_loss, total_loss_grad
 from simulgain.policy import (
     PolicyConfig,
     PolicyVariant,
     backward,
+    backward_from_cache,
+    forward_with_cache,
     init_params,
     params_to_vector,
 )
@@ -91,24 +94,40 @@ class TestSampleBatch:
         tc = TrainConfig(batch_size=16)
         index = DatasetIndex(dataset, oracle)
         batch = sample_batch(dataset, oracle, tc, np.random.default_rng(5), index=index)
+        assert batch.features.shape == batch.features_next.shape == (len(batch), cfg.feature_dim)
+        assert batch.aligned.dtype == bool and batch.aligned.all()
         for i in range(len(batch)):
-            ex = batch.example(i)
-            utt = next(u for u in dataset
-                       if ex.t_star is None or abs(u.boundaries_s[ex.token_index] - ex.t_star) < 1e-12)
-            got = np.exp(ex.label_partial_logp)
-            want = oracle.correct_token_prob(utt, ex.t_audio, ex.token_index)
-            if abs(got - want) < 1e-12:
-                break
-        else:
-            pytest.fail("no sampled example matched the oracle")
+            t, n, t_star = float(batch.t_audio[i]), int(batch.token_index[i]), batch.t_star[i]
+            utt = next(u for u in dataset if n < u.n_tokens and abs(u.boundaries_s[n] - t_star) < 1e-12)
+            assert np.exp(batch.label_partial_logp[i]) == pytest.approx(
+                oracle.correct_token_prob(utt, t, n), abs=1e-12)
+            assert np.exp(batch.label_full_logp[i]) == pytest.approx(
+                oracle.correct_token_prob(utt, utt.duration_s, n), abs=1e-12)
+            np.testing.assert_allclose(batch.features[i], oracle.features(utt, t, n), rtol=0, atol=1e-12)
+            n_next = min(n + 1, utt.n_tokens - 1)
+            np.testing.assert_allclose(batch.features_next[i], oracle.features(utt, t, n_next), rtol=0, atol=1e-12)
+            assert batch.next_valid[i] == (n + 1 < utt.n_tokens)
 
-    def test_example_view(self, env):
+    def test_single_draw_matches_oracle_features(self, env):
+        # a one-draw batch mixes each token view on its own, as oracle.features does
         cfg, oracle, dataset = env
-        tc = TrainConfig(batch_size=4)
-        batch = sample_batch(dataset, oracle, tc, np.random.default_rng(6))
-        ex = batch.example(0)
-        assert ex.features.shape == (cfg.feature_dim,)
-        assert isinstance(ex.aligned, bool)
+        utt = dataset[0]
+        batch = sample_batch([utt], oracle, TrainConfig(samples_per_utterance=1), np.random.default_rng(8))
+        t, n = float(batch.t_audio[0]), int(batch.token_index[0])
+        assert batch.features[0].tobytes() == oracle.features(utt, t, n).tobytes()
+        n_next = min(n + 1, utt.n_tokens - 1)
+        assert batch.features_next[0].tobytes() == oracle.features(utt, t, n_next).tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 16, 37, 256])
+    def test_stacked_mixing_matches_separate_products(self, env, rows):
+        # sample_batch mixes both token views in one product of 2 * rows rows
+        cfg, oracle, _ = env
+        rng = np.random.default_rng(rows)
+        parts = (rng.integers(0, cfg.vocab_size, 2 * rows), rng.random(2 * rows), rng.random(2 * rows))
+        stacked = oracle.mix_features(*parts)
+        for half in (slice(0, rows), slice(rows, 2 * rows)):
+            separate = oracle.mix_features(*(p[half] for p in parts))
+            assert separate.tobytes() == stacked[half].tobytes()
 
 
 class TestTrain:
@@ -186,6 +205,84 @@ class TestTrain:
         assert len(lines) == 4
 
 
+def reference_train(oracle, dataset, pc, tc, weights):
+    """The training loop assembled from public pieces, one parameter array at a time.
+
+    Returns the CSV values of every step and the final parameter vector.
+    """
+    index = DatasetIndex(dataset, oracle)
+    params = init_params(pc, [tc.rng_seed, 0x51])
+    rng = np.random.default_rng([tc.rng_seed, 0x52])
+    arrays = [*params.weights, *params.biases]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    beta1, beta2 = tc.adam_betas
+    use_mono = weights.lambda_mono > 0
+    rows = []
+    for step in range(tc.steps):
+        batch = sample_batch(dataset, oracle, tc, rng, index=index)
+        scores, cache = forward_with_cache(params, batch.features, batch.t_audio)
+        scores_next = cache_next = None
+        if use_mono:
+            scores_next, cache_next = forward_with_cache(params, batch.features_next, batch.t_audio)
+        targets = mask = None
+        if tc.variant.uses_alignment_loss:
+            mask = batch.aligned & np.isfinite(batch.t_star)
+            star = np.where(mask, batch.t_star, 0.0)
+            targets = np.where(mask, align_target(batch.t_audio, star, weights.tau), 0.0)
+        args = dict(q_next=scores_next, next_valid=batch.next_valid if use_mono else None,
+                    align_targets=targets, align_mask=mask, objective=tc.objective)
+        _, bd = total_loss(tc.variant, scores, batch.labels, weights, **args)
+        dq, dq_next = total_loss_grad(tc.variant, scores, batch.labels, weights, **args)
+        grads_w, grads_b = backward_from_cache(params, cache, dq)
+        if dq_next is not None:
+            extra_w, extra_b = backward_from_cache(params, cache_next, dq_next)
+            grads_w = [g + e for g, e in zip(grads_w, extra_w)]
+            grads_b = [g + e for g, e in zip(grads_b, extra_b)]
+        grads = [*grads_w, *grads_b]
+        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        lr = tc.lr
+        if tc.warmup_steps:
+            lr *= min(1.0, (step + 1) / tc.warmup_steps)
+        c1 = 1.0 - beta1 ** (step + 1)
+        c2 = 1.0 - beta2 ** (step + 1)
+        for target, grad, m_i, v_i in zip(arrays, grads, m, v):
+            m_i *= beta1
+            m_i += (1.0 - beta1) * grad
+            v_i *= beta2
+            v_i += (1.0 - beta2) * grad * grad
+            target -= lr * ((m_i / c1) / (np.sqrt(v_i / c2) + tc.adam_eps) + tc.weight_decay * target)
+        rows.append((step, bd["total"], bd["cov"], bd["mono"], bd["l2"], bd["align"], grad_norm))
+    return rows, params_to_vector(params)
+
+
+class TestFusedStep:
+    @pytest.fixture(scope="class")
+    def noisy_env(self):
+        cfg = SynthConfig(rng_seed=23, tokens_per_utt_range=(3, 6), noise_std=0.3, ambiguity_prob=0.3,
+                          aligned_prob=0.7)
+        return OracleModel(cfg), generate_dataset(cfg, 7)
+
+    @pytest.mark.parametrize("per_utterance", [None, 5])
+    @pytest.mark.parametrize("lambda_mono", [0.0, 0.1])
+    @pytest.mark.parametrize("objective", ["cov", "mse"])
+    @pytest.mark.parametrize("variant", list(PolicyVariant))
+    def test_train_matches_reference_byte_for_byte(self, noisy_env, variant, objective, lambda_mono,
+                                                   per_utterance):
+        oracle, dataset = noisy_env
+        pc = PolicyConfig.for_variant(variant, oracle.config.feature_dim, hidden_dims=(16, 12))
+        tc = TrainConfig(variant=variant, steps=30, batch_size=24, rng_seed=4, objective=objective,
+                         label_noise_std=0.2, samples_per_utterance=per_utterance, warmup_steps=10,
+                         weight_decay=1e-3)
+        weights = LossWeights(lambda_mono=lambda_mono)
+        report = train(oracle, dataset, pc, tc, weights)
+        rows, theta = reference_train(oracle, dataset, pc, tc, weights)
+        got = [(r.step, r.loss_total, r.loss_cov, r.loss_mono, r.loss_l2, r.loss_align, r.grad_norm)
+               for r in report.records]
+        assert repr(got) == repr(rows)
+        assert params_to_vector(report.params).tobytes() == theta.tobytes()
+
+
 class TestGradCheck:
     @pytest.mark.parametrize("variant", list(PolicyVariant))
     def test_all_variants_within_tolerance(self, variant):
@@ -195,6 +292,24 @@ class TestGradCheck:
     def test_mse_objective(self):
         pc = PolicyConfig.for_variant(PolicyVariant.REINA, input_dim=16, hidden_dims=(12, 12))
         assert grad_check(pc, LossWeights(), PolicyVariant.REINA, seed=11, objective="mse") <= 1e-4
+
+    @pytest.mark.parametrize("variant", list(PolicyVariant))
+    def test_checks_the_training_gradient(self, env, variant, monkeypatch):
+        # a 1% error in the fused loss gradient must show in grad_check and in train
+        cfg, oracle, dataset = env
+        pc = PolicyConfig.for_variant(variant, input_dim=16, hidden_dims=(12, 12))
+        tc = TrainConfig(variant=variant, steps=2, batch_size=16, rng_seed=1)
+        clean = params_to_vector(train(oracle, dataset, pc, tc, LossWeights()).params)
+        fused = training.loss_and_grad
+
+        def skewed(*args, **kwargs):
+            total, breakdown, dq, dq_next = fused(*args, **kwargs)
+            return total, breakdown, 1.01 * dq, dq_next
+
+        monkeypatch.setattr(training, "loss_and_grad", skewed)
+        assert grad_check(pc, LossWeights(), variant, seed=11) > 1e-4
+        skewed_params = params_to_vector(train(oracle, dataset, pc, tc, LossWeights()).params)
+        assert skewed_params.tobytes() != clean.tobytes()
 
     def test_seed_stable(self):
         pc = PolicyConfig.for_variant(PolicyVariant.REINA_ALL, input_dim=16)
