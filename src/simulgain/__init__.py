@@ -49,9 +49,9 @@ from .streaming import (
     save_logs,
     simulate,
     sweep,
-    wait_k_policy,
 )
 from .synth import (
+    DatasetIndex,
     OracleModel,
     SynthConfig,
     Utterance,
@@ -60,7 +60,6 @@ from .synth import (
     save_dataset,
 )
 from .training import (
-    DatasetIndex,
     LabeledBatch,
     TrainConfig,
     TrainReport,

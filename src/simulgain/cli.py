@@ -115,6 +115,16 @@ def _policy_config(cfg: ExperimentConfig, variant: PolicyVariant) -> PolicyConfi
                                     hidden_dims=cfg.hidden_dims, time_base=cfg.time_base)
 
 
+def _stream_inputs(cfg: ExperimentConfig):
+    """Dataset, oracle, policy and checkpoint extras; the policy must fit the oracle's features."""
+    dataset = load_dataset(cfg.dataset)
+    params, extra = load_params(cfg.checkpoint)
+    if params.config.input_dim != cfg.synth.feature_dim:
+        raise ConfigError(f"checkpoint {cfg.checkpoint}: input_dim {params.config.input_dim} does not match "
+                          f"synth.feature_dim {cfg.synth.feature_dim}")
+    return dataset, OracleModel(cfg.synth), params, extra
+
+
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     count = args.count if args.count is not None else cfg.count
@@ -152,9 +162,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     if args.alpha is not None:
         cfg.stream = dataclasses.replace(cfg.stream, alpha=args.alpha)
-    dataset = load_dataset(cfg.dataset)
-    oracle = OracleModel(cfg.synth)
-    params, extra = load_params(cfg.checkpoint)
+    dataset, oracle, params, _ = _stream_inputs(cfg)
     policy = ThresholdPolicy(oracle, params, cfg.stream.alpha)
     logs = [simulate(oracle, utt, policy, cfg.stream) for utt in dataset]
     out = _out_dir(cfg)
@@ -173,9 +181,7 @@ def cmd_sweep(args) -> int:
         alphas = tuple(float(a) for a in args.alphas.split(","))
     if not alphas:
         raise ConfigError("alphas: must be provided in the config or via --alphas")
-    dataset = load_dataset(cfg.dataset)
-    oracle = OracleModel(cfg.synth)
-    params, extra = load_params(cfg.checkpoint)
+    dataset, oracle, params, extra = _stream_inputs(cfg)
     points, logs_by_alpha = sweep(oracle, params, dataset, alphas, cfg.stream, collect_logs=True)
     out = _out_dir(cfg)
     write_pareto_csv(points, out / "pareto.csv")

@@ -18,5 +18,4 @@ def sigmoid_from_exp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     1 / (1 + e) for x >= 0 and e / (1 + e) below; e never exceeds 1, so
     neither branch overflows.
     """
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)

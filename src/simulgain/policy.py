@@ -251,23 +251,12 @@ def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
 
 
 def load_params(path) -> tuple[PolicyParams, dict]:
+    """Read a checkpoint; a malformed or truncated file raises ConfigError naming it."""
     blob = Path(path).read_bytes()
-    newline = blob.index(b"\n")
-    header = json.loads(blob[:newline].decode("utf-8"))
-    cfg = header["config"]
-    config = PolicyConfig(
-        input_dim=cfg["input_dim"],
-        hidden_dims=tuple(cfg["hidden_dims"]),
-        use_time_embedding=cfg["use_time_embedding"],
-        time_embed_dim=cfg["time_embed_dim"],
-        time_base=cfg["time_base"],
-    )
-    arrays, offset = [], newline + 1
-    for shape in header["shapes"]:
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(blob[offset:offset + size], dtype="<f8").reshape(shape).astype(np.float64)
-        arrays.append(arr)
-        offset += size
-    n_layers = len(config.layer_dims) - 1
-    params = PolicyParams(config=config, weights=arrays[:n_layers], biases=arrays[n_layers:])
-    return params, header["extra"]
+    try:
+        newline = blob.index(b"\n")
+        header = json.loads(blob[:newline].decode("utf-8"))
+        vector = np.frombuffer(blob, dtype="<f8", offset=newline + 1)
+        return vector_to_params(PolicyConfig(**header["config"]), vector), header["extra"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"checkpoint {path}: malformed or truncated ({exc!r})") from None

@@ -101,10 +101,6 @@ class WaitKPolicy:
         return n_emitted > chunks_read - self.k
 
 
-def wait_k_policy(k: int) -> WaitKPolicy:
-    return WaitKPolicy(k)
-
-
 def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) -> EmissionLog:
     """Run one utterance through the chunked read/write loop.
 
@@ -200,6 +196,7 @@ def emission_log_to_json(log: EmissionLog) -> str:
         "T": float(log.duration_s),
         "forced_tail": int(log.n_forced),
         "read_loop": detect_read_loop(log),
+        "truncated": bool(log.truncated),
     }
     return json.dumps(record, separators=(",", ":"))
 
@@ -208,7 +205,7 @@ def emission_log_from_json(line: str) -> EmissionLog:
     record = json.loads(line)
     return EmissionLog(utt_id=record["utt_id"], tokens=record["tokens"],
                        delays_s=record["delays_s"], duration_s=record["T"],
-                       n_forced=record["forced_tail"])
+                       n_forced=record["forced_tail"], truncated=record.get("truncated", False))
 
 
 def save_logs(logs, path) -> None:

@@ -11,6 +11,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,12 +41,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _U64(30))) * _MIX1
     z = (z ^ (z >> _U64(27))) * _MIX2
     return z ^ (z >> _U64(31))
-
-
-def utterance_hash(utt_id: str) -> np.uint64:
-    """Stable 64-bit key for an utterance id, for counter-based noise."""
-    digest = hashlib.blake2s(utt_id.encode("utf-8"), digest_size=8).digest()
-    return _U64(int.from_bytes(digest, "little"))
 
 
 def _hash_standard_normal(seed: int, utt_key, frame_index, token_index) -> np.ndarray:
@@ -111,6 +106,32 @@ class SynthConfig:
         return self.frame_ms / 1000.0
 
 
+def oracle_states(config: SynthConfig, t_s, t_star, ambiguous=None, utt_key=None, token_index=None):
+    """Correct-token probability and evidence channel of flat arrays of oracle states.
+
+    State i: audio time ``t_s[i]``, pending token ``token_index[i]`` with
+    boundary ``t_star[i]`` and ambiguous flag ``ambiguous[i]``, in the
+    utterance keyed ``utt_key`` (:attr:`Utterance.key`, one or one per state).
+    The ramp ``sigmoid((t_s - t_star) / ramp_s)`` gives the probability
+    ``p_min + (p_max - p_min) * ramp`` and the evidence: the ramp, 0 for
+    ambiguous tokens, plus noise keyed by (rng_seed, utterance, frame
+    ``rint(t_s / frame_s)``, token) when ``noise_std > 0``.  Without
+    ``ambiguous`` the evidence is skipped and returned as None.  This is the
+    only place the oracle's state math is written.
+    """
+    t_s = np.asarray(t_s, dtype=np.float64)
+    ramp = sigmoid((t_s - t_star) / config.ramp_s)
+    prob = config.p_min + (config.p_max - config.p_min) * ramp
+    if ambiguous is None:
+        return prob, None
+    evidence = np.where(ambiguous, 0.0, ramp)
+    if config.noise_std > 0.0:
+        frame_index = np.rint(t_s / config.frame_s).astype(np.int64)
+        noise = _hash_standard_normal(config.rng_seed, utt_key, frame_index, token_index)
+        evidence = evidence + config.noise_std * noise
+    return prob, evidence
+
+
 @dataclass
 class Utterance:
     """One synthetic source/target pair with known emission boundaries."""
@@ -139,6 +160,12 @@ class Utterance:
     @property
     def n_tokens(self) -> int:
         return int(self.target_tokens.shape[0])
+
+    @functools.cached_property
+    def key(self) -> np.uint64:
+        """Stable 64-bit key of the id for counter-based noise, computed once."""
+        digest = hashlib.blake2s(self.id.encode("utf-8"), digest_size=8).digest()
+        return _U64(int.from_bytes(digest, "little"))
 
 
 class OracleModel:
@@ -171,20 +198,17 @@ class OracleModel:
         if not 0.0 <= t_s <= utt.duration_s + 1e-9:
             raise ValueError(f"time {t_s} outside [0, {utt.duration_s}] for utterance {utt.id}")
 
-    def _prob_values(self, utt: Utterance, t_s, n) -> np.ndarray:
-        cfg = self.config
-        t_star = utt.boundaries_s[np.asarray(n, dtype=np.int64)]
-        ramp = sigmoid((np.asarray(t_s, dtype=np.float64) - t_star) / cfg.ramp_s)
-        return cfg.p_min + (cfg.p_max - cfg.p_min) * np.atleast_1d(ramp)
+    def _prob(self, utt: Utterance, t_s, n) -> np.ndarray:
+        """Kernel probabilities for parallel (t_s, n) arrays of one utterance."""
+        return oracle_states(self.config, t_s, utt.boundaries_s[np.asarray(n, dtype=np.int64)])[0]
 
     def correct_token_prob(self, utt: Utterance, t_s: float, n: int) -> float:
         """Probability the oracle puts on the correct pending token at time t_s."""
         self._check_state(utt, t_s, n)
-        return float(self._prob_values(utt, [t_s], [n])[0])
+        return float(self._prob(utt, [t_s], [n])[0])
 
     def logprob(self, utt: Utterance, t_s: float, n: int) -> np.ndarray:
         """Full log-probability vector over the vocabulary."""
-        self._check_state(utt, t_s, n)
         cfg = self.config
         p = self.correct_token_prob(utt, t_s, n)
         out = np.full(cfg.vocab_size, math.log((1.0 - p) / (cfg.vocab_size - 1)))
@@ -198,14 +222,13 @@ class OracleModel:
     def true_info_gain(self, utt: Utterance, t_s: float, n: int) -> float:
         """Exact benefit (nats) of waiting for the full audio before emitting token n."""
         self._check_state(utt, t_s, n)
-        p_now = self.correct_token_prob(utt, t_s, n)
-        p_full = self.correct_token_prob(utt, utt.duration_s, n)
+        p_now, p_full = self._prob(utt, [t_s, utt.duration_s], [n, n])
         return math.log(p_full) - math.log(p_now)
 
     def info_gain_many(self, utt: Utterance, t_s, n) -> np.ndarray:
         """Vectorized :meth:`true_info_gain` over parallel (t_s, n) arrays."""
-        p_now = self._prob_values(utt, t_s, n)
-        p_full = self._prob_values(utt, np.full(len(p_now), utt.duration_s), n)
+        p_now = self._prob(utt, t_s, n)
+        p_full = self._prob(utt, np.full(np.shape(n), utt.duration_s), n)
         return np.log(p_full) - np.log(p_now)
 
     # -- features ----------------------------------------------------------
@@ -219,26 +242,11 @@ class OracleModel:
         parts[:, -1] = relpos
         return parts @ self.mixing_matrix
 
-    def evidence_many(self, utt: Utterance, t_s, n) -> np.ndarray:
-        """Evidence channel values: ramp for normal tokens, 0 for ambiguous ones."""
-        cfg = self.config
-        t_s = np.asarray(t_s, dtype=np.float64)
-        n = np.asarray(n, dtype=np.int64)
-        t_star = utt.boundaries_s[n]
-        ramp = np.atleast_1d(sigmoid((t_s - t_star) / cfg.ramp_s))
-        ev = np.where(utt.ambiguous_mask[n], 0.0, ramp)
-        if cfg.noise_std > 0.0:
-            frame_index = np.rint(t_s / cfg.frame_s).astype(np.int64)
-            keys = np.full(ev.shape, utterance_hash(utt.id), dtype=_U64)
-            ev = ev + cfg.noise_std * _hash_standard_normal(cfg.rng_seed, keys, frame_index, n)
-        return ev
-
     def features_many(self, utt: Utterance, t_s, n) -> np.ndarray:
         """Feature matrix for parallel (t_s, n) arrays of one utterance."""
         n = np.asarray(n, dtype=np.int64)
-        evidence = self.evidence_many(utt, t_s, n)
-        relpos = n / utt.n_tokens
-        return self.mix_features(utt.target_tokens[n], evidence, relpos)
+        _, evidence = oracle_states(self.config, t_s, utt.boundaries_s[n], utt.ambiguous_mask[n], utt.key, n)
+        return self.mix_features(utt.target_tokens[n], evidence, n / utt.n_tokens)
 
     def features(self, utt: Utterance, t_s: float, n: int) -> np.ndarray:
         """Feature vector the policy sees when token n is pending at time t_s."""
@@ -250,13 +258,8 @@ class OracleModel:
     def frame_grid(self, utt: Utterance) -> np.ndarray:
         """Frame-aligned time grid over [0, duration]; the last point is exactly T."""
         frame = self.config.frame_s
-        count = int(math.floor(utt.duration_s / frame + 1e-9))
-        grid = np.arange(count + 1, dtype=np.float64) * frame
-        if grid[-1] < utt.duration_s - 1e-9:
-            grid = np.append(grid, utt.duration_s)
-        else:
-            grid[-1] = utt.duration_s
-        return grid
+        grid = np.arange(int(math.floor(utt.duration_s / frame + 1e-9)) + 1, dtype=np.float64) * frame
+        return np.append(grid[grid < utt.duration_s - 1e-9], utt.duration_s)
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
         """Earliest grid time at which waiting is worth at most ``gain_threshold``."""
@@ -267,6 +270,46 @@ class OracleModel:
         gains = self.info_gain_many(utt, grid, np.full(len(grid), n, dtype=np.int64))
         hits = np.nonzero(gains <= gain_threshold)[0]
         return float(grid[hits[0]])  # gain at T is exactly 0, so a hit always exists
+
+
+class DatasetIndex:
+    """Flat per-token and per-frame tables of a dataset, for :func:`oracle_states`.
+
+    Token n of utterance u is row ``offsets[u] + n``; frame j of it is time
+    ``oracle.frame_grid(utt)[j]``, so the last, ``n_frames[u] - 1``, is T.
+    """
+
+    def __init__(self, dataset, oracle: OracleModel):
+        if not dataset:
+            raise ConfigError("dataset: must be non-empty")
+        self.oracle = oracle
+        self.utterances = list(dataset)
+        grids = [oracle.frame_grid(u) for u in self.utterances]
+        self.n_tokens = np.array([u.n_tokens for u in self.utterances], dtype=np.int64)
+        self.n_frames = np.array([g.shape[0] for g in grids], dtype=np.int64)
+        self.offsets = np.cumsum(self.n_tokens) - self.n_tokens
+        self.frame_offsets = np.cumsum(self.n_frames) - self.n_frames
+        self.flat_times = np.concatenate(grids)
+        self.flat_tokens = np.concatenate([u.target_tokens for u in self.utterances])
+        self.flat_boundaries = np.concatenate([u.boundaries_s for u in self.utterances])
+        self.flat_ambiguous = np.concatenate([u.ambiguous_mask for u in self.utterances])
+        self.aligned = np.array([u.aligned for u in self.utterances], dtype=bool)
+        self.utt_keys = np.array([u.key for u in self.utterances], dtype=_U64)
+
+    def full_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(utterance, token, frame) of every grid state, utterance-major then frame-major."""
+        sizes = self.n_frames * self.n_tokens
+        u = np.repeat(np.arange(len(self.utterances), dtype=np.int64), sizes)
+        row = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return u, row % self.n_tokens[u], row // self.n_tokens[u]
+
+    def states(self, u, n, j):
+        """Flat token rows, times, probabilities and evidence of states (u, n, j)."""
+        flat = self.offsets[u] + n
+        t_s = self.flat_times[self.frame_offsets[u] + j]
+        prob, evidence = oracle_states(self.oracle.config, t_s, self.flat_boundaries[flat],
+                                       self.flat_ambiguous[flat], self.utt_keys[u], n)
+        return flat, t_s, prob, evidence
 
 
 def generate_dataset(config: SynthConfig, count: int) -> list[Utterance]:
@@ -331,5 +374,12 @@ def save_dataset(utterances, path) -> None:
 
 
 def load_dataset(path) -> list[Utterance]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [utterance_from_json(line) for line in lines if line.strip()]
+    """Read a dataset; a malformed line raises ConfigError naming the file and line."""
+    utterances = []
+    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        try:
+            if line.strip():
+                utterances.append(utterance_from_json(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"dataset {path}, line {number}: {exc!r}") from None
+    return utterances

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .losses import LossWeights, align_target, loss_and_grad, total_loss
 from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
-from .numerics import sigmoid
 from .policy import (
     PolicyConfig,
     PolicyParams,
@@ -33,7 +32,7 @@ from .policy import (
     vector_to_params,
     vector_views,
 )
-from .synth import OracleModel, utterance_hash
+from .synth import DatasetIndex, OracleModel
 
 _INIT_STREAM = 0x51
 _SAMPLE_STREAM = 0x52
@@ -96,37 +95,6 @@ class TrainReport:
     params: PolicyParams
 
 
-class DatasetIndex:
-    """Flat array view of a dataset for vectorized sampling and labeling."""
-
-    def __init__(self, dataset, oracle: OracleModel):
-        if not dataset:
-            raise ConfigError("dataset: must be non-empty")
-        self.oracle = oracle
-        self.utterances = list(dataset)
-        cfg = oracle.config
-        self.n_tokens = np.array([u.n_tokens for u in self.utterances], dtype=np.int64)
-        self.duration = np.array([u.duration_s for u in self.utterances], dtype=np.float64)
-        self.n_frames = np.floor(self.duration / cfg.frame_s + 1e-9).astype(np.int64)
-        self.offsets = np.concatenate([[0], np.cumsum(self.n_tokens)[:-1]])
-        self.flat_tokens = np.concatenate([u.target_tokens for u in self.utterances])
-        self.flat_boundaries = np.concatenate([u.boundaries_s for u in self.utterances])
-        self.flat_ambiguous = np.concatenate([u.ambiguous_mask for u in self.utterances])
-        self.aligned = np.array([u.aligned for u in self.utterances], dtype=bool)
-        self.utt_keys = np.array([utterance_hash(u.id) for u in self.utterances], dtype=np.uint64)
-
-    def full_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (utterance, frame, token) triples, utterance-major then frame-major."""
-        us, ns, js = [], [], []
-        for u in range(len(self.utterances)):
-            frames = self.n_frames[u] + 1
-            tokens = self.n_tokens[u]
-            us.append(np.full(frames * tokens, u, dtype=np.int64))
-            js.append(np.repeat(np.arange(frames, dtype=np.int64), tokens))
-            ns.append(np.tile(np.arange(tokens, dtype=np.int64), frames))
-        return np.concatenate(us), np.concatenate(ns), np.concatenate(js)
-
-
 @dataclass
 class LabeledBatch:
     """Column-oriented batch of labeled states plus the adjacent-token view."""
@@ -164,46 +132,31 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
     labels are perturbed, and the full-audio label keeps its clean value.
     """
     idx = index if index is not None else DatasetIndex(dataset, oracle)
-    cfg = oracle.config
-    n_utts = len(idx.utterances)
     if config.t_grid == "exhaustive":
         u, n, j = idx.full_grid()
-    elif config.samples_per_utterance is not None:
-        per = config.samples_per_utterance
-        u = np.repeat(np.arange(n_utts, dtype=np.int64), per)
-        n = (rng.random(u.shape[0]) * idx.n_tokens[u]).astype(np.int64)
-        j = (rng.random(u.shape[0]) * (idx.n_frames[u] + 1)).astype(np.int64)
     else:
-        u = rng.integers(0, n_utts, config.batch_size)
-        n = (rng.random(config.batch_size) * idx.n_tokens[u]).astype(np.int64)
-        j = (rng.random(config.batch_size) * (idx.n_frames[u] + 1)).astype(np.int64)
+        if config.samples_per_utterance is not None:
+            u = np.repeat(np.arange(len(idx.utterances), dtype=np.int64), config.samples_per_utterance)
+        else:
+            u = rng.integers(0, len(idx.utterances), config.batch_size)
+        n = (rng.random(u.shape[0]) * idx.n_tokens[u]).astype(np.int64)
+        j = (rng.random(u.shape[0]) * idx.n_frames[u]).astype(np.int64)
 
-    # Rows [0, b) hold the pending token n of each draw and rows [b, 2b) the
-    # adjacent token at the same audio prefix, for the monotonicity hinge.
+    # One oracle call for three views of each draw: rows [0, b) hold the
+    # pending token n at frame j, rows [b, 2b) the adjacent token at the same
+    # frame, for the monotonicity hinge, and rows [2b, 3b) token n at the
+    # last frame, the full audio.
     b = u.shape[0]
     next_valid = (n + 1) < idx.n_tokens[u]
-    u2 = np.concatenate([u, u])
-    j2 = np.concatenate([j, j])
-    n2 = np.concatenate([n, np.minimum(n + 1, idx.n_tokens[u] - 1)])
-    flat = idx.offsets[u2] + n2
-    t2 = j2 * cfg.frame_s
-    t_star = idx.flat_boundaries[flat]
-    # One sigmoid for the ramps of both views at t and of the pending token at T.
-    ramps = sigmoid(np.concatenate([t2 - t_star, idx.duration[u] - t_star[:b]]) / cfg.ramp_s)
-    ramp = ramps[:2 * b]
-    span = cfg.p_max - cfg.p_min
-    p_now = cfg.p_min + span * ramp[:b]
-    p_full = cfg.p_min + span * ramps[2 * b:]
-    label_partial = np.log(p_now)
+    u3 = np.concatenate([u, u, u])
+    n3 = np.concatenate([n, np.minimum(n + 1, idx.n_tokens[u] - 1), n])
+    flat, t3, prob, evidence = idx.states(u3, n3, np.concatenate([j, j, idx.n_frames[u] - 1]))
+    label_partial = np.log(prob[:b])
     if config.label_noise_std > 0.0:
         label_partial = label_partial + config.label_noise_std * rng.standard_normal(b)
 
-    evidence = np.where(idx.flat_ambiguous[flat], 0.0, ramp)
-    if cfg.noise_std > 0.0:
-        from .synth import _hash_standard_normal  # shared keyed-noise core
-
-        evidence = evidence + cfg.noise_std * _hash_standard_normal(cfg.rng_seed, idx.utt_keys[u2], j2, n2)
-    parts = (idx.flat_tokens[flat], evidence, n2 / idx.n_tokens[u2])
+    views = slice(0, 2 * b)
+    parts = (idx.flat_tokens[flat[views]], evidence[views], n3[views] / idx.n_tokens[u3[views]])
     if b > 1:
         mixed = oracle.mix_features(*parts)
         features, features_next = mixed[:b], mixed[b:]
@@ -212,11 +165,11 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
 
     return LabeledBatch(
         features=features,
-        t_audio=t2[:b],
+        t_audio=t3[:b],
         token_index=n,
         label_partial_logp=label_partial,
-        label_full_logp=np.log(p_full),
-        t_star=np.where(idx.aligned[u], t_star[:b], np.nan),
+        label_full_logp=np.log(prob[2 * b:]),
+        t_star=np.where(idx.aligned[u], idx.flat_boundaries[flat[:b]], np.nan),
         aligned=idx.aligned[u].copy(),
         features_next=features_next,
         next_valid=next_valid,

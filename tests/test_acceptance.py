@@ -226,7 +226,7 @@ def test_criterion_6_policy_extremes():
         floor_ok &= log.delays_s == floor.delays_s
         floor_ok &= laal(log, u.n_tokens) == laal(floor, u.n_tokens)
     # nothing on the chunk grid can emit earlier, so this is the LAAL minimum
-    for maker in (lambda: sg.wait_k_policy(2), lambda: GainThresholdPolicy(oracle, 0.5)):
+    for maker in (lambda: sg.WaitKPolicy(2), lambda: GainThresholdPolicy(oracle, 0.5)):
         for log, u in zip(always_write, dataset):
             other = simulate(oracle, u, maker(), CHUNK)
             floor_ok &= laal(other, u.n_tokens) >= laal(log, u.n_tokens)

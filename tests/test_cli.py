@@ -186,6 +186,45 @@ class TestSimulateCommand:
         assert len(logs) == 8
 
 
+class TestBadInputFiles:
+    """A malformed input file exits 2, naming the file, instead of raising."""
+
+    @pytest.fixture
+    def trained(self, workspace, capsys):
+        tmp, cfg_path, config = workspace
+        main(["gen", "--config", str(cfg_path)])
+        main(["train", "--config", str(cfg_path), "--steps", "2"])
+        capsys.readouterr()
+        return tmp, cfg_path, config
+
+    def test_truncated_checkpoint(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-3])
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: malformed or truncated" in err
+
+    def test_malformed_dataset_line(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        data = tmp / "data.jsonl"
+        lines = data.read_text().splitlines()
+        lines[2] = lines[2][:-7]
+        data.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"dataset {data}, line 3:" in err
+
+    def test_checkpoint_for_another_feature_dim(self, trained, capsys, tmp_path):
+        tmp, cfg_path, config = trained
+        config["synth"]["feature_dim"] = 8
+        other = tmp_path / "dim8.json"
+        other.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(other), "--out", str(tmp / "sweep8")]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp / "policy.ckpt") in err and "input_dim 16" in err and "feature_dim 8" in err
+
+
 def test_end_to_end_pipeline_determinism(tmp_path):
     # same seeds and inputs -> byte-identical artifacts for every stage
     config = {

@@ -11,13 +11,13 @@ from simulgain.streaming import (
     GainThresholdPolicy,
     StreamConfig,
     ThresholdPolicy,
+    WaitKPolicy,
     detect_read_loop,
     emission_log_to_json,
     load_logs,
     save_logs,
     simulate,
     sweep,
-    wait_k_policy,
 )
 from simulgain.synth import OracleModel, SynthConfig, Utterance, generate_dataset
 
@@ -118,24 +118,24 @@ class TestSimulate:
 class TestWaitK:
     def test_hand_simulated_schedule(self, env, stream):
         cfg, oracle, _ = env
-        log = simulate(oracle, three_token_fixture(), wait_k_policy(4), stream)
+        log = simulate(oracle, three_token_fixture(), WaitKPolicy(4), stream)
         assert log.delays_s == [1.0, 1.25, 1.5]
 
     def test_k_zero_emits_first_token_at_first_grid_point(self, env, stream):
         cfg, oracle, _ = env
-        log = simulate(oracle, three_token_fixture(), wait_k_policy(0), stream)
+        log = simulate(oracle, three_token_fixture(), WaitKPolicy(0), stream)
         assert log.delays_s[0] == stream.chunk_s
 
     def test_k_total_chunks_equals_always_read(self, env, stream):
         cfg, oracle, _ = env
         utt = three_token_fixture()
         total_chunks = int(math.ceil(utt.duration_s / stream.chunk_s))
-        log = simulate(oracle, utt, wait_k_policy(total_chunks), stream)
+        log = simulate(oracle, utt, WaitKPolicy(total_chunks), stream)
         assert log.delays_s == [utt.duration_s] * utt.n_tokens
 
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
-            wait_k_policy(-1)
+            WaitKPolicy(-1)
 
 
 class TestReadLoop:
@@ -215,8 +215,15 @@ class TestLogSerialization:
         cfg, oracle, dataset = env
         log = simulate(oracle, dataset[0], GainThresholdPolicy(oracle, 0.0), stream)
         record = json.loads(emission_log_to_json(log))
-        assert set(record) == {"utt_id", "tokens", "delays_s", "T", "forced_tail", "read_loop"}
+        assert set(record) == {"utt_id", "tokens", "delays_s", "T", "forced_tail", "read_loop", "truncated"}
         assert record["read_loop"] is True
+
+    def test_truncated_flag_round_trips(self, tmp_path):
+        logs = [EmissionLog(utt_id=f"u{i}", tokens=[1, 2], delays_s=[0.5, 1.0], duration_s=2.0, truncated=flag)
+                for i, flag in enumerate((False, True))]
+        path = tmp_path / "logs.jsonl"
+        save_logs(logs, path)
+        assert [log.truncated for log in load_logs(path)] == [False, True]
 
     def test_invalid_log_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):

@@ -1,18 +1,24 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulgain.errors import ConfigError
+from simulgain.policy import PolicyConfig, PolicyVariant, init_params
 from simulgain.synth import (
     OracleModel,
     SynthConfig,
     Utterance,
+    _hash_standard_normal,
     generate_dataset,
     load_dataset,
     save_dataset,
     utterance_to_json,
 )
+from simulgain.training import TrainConfig, sample_batch, score_info_gain_grid
 
 
 def sigmoid(x):
@@ -225,11 +231,9 @@ class TestFeatures:
         cfg = SynthConfig(noise_std=0.5, rng_seed=9)
         oracle = OracleModel(cfg)
         utt = generate_dataset(cfg, 1)[0]
-        e1 = oracle.evidence_many(utt, [1.0], [0])[0]
-        e2 = oracle.evidence_many(utt, [1.05], [0])[0]
-        e3 = oracle.evidence_many(utt, [1.0], [0])[0]
-        assert e1 == e3
-        assert e1 != e2
+        e1, e2, e3 = (oracle.features(utt, t, 0) @ oracle.mixing_matrix.T for t in (1.0, 1.05, 1.0))
+        assert e1[-2] == e3[-2]
+        assert e1[-2] != e2[-2]
 
     def test_batched_matches_single(self, oracle, dataset):
         utt = dataset[6]
@@ -299,3 +303,74 @@ def test_frame_grid_ends_exactly_at_duration(oracle, dataset):
         grid = oracle.frame_grid(utt)
         assert grid[-1] == utt.duration_s
         assert grid[0] == 0.0
+
+
+# -- the oracle written out by hand --------------------------------------------
+# Sampling, grid scoring and the per-state views all call one kernel, so
+# comparing them with each other checks only indexing.  These tests compare
+# each of them with the closed form instead.
+
+def closed_form(cfg, utt, t, n):
+    """(probability, evidence) of token n at time t, from the formulas."""
+    ramp = sigmoid((t - float(utt.boundaries_s[n])) / cfg.ramp_s)
+    prob = cfg.p_min + (cfg.p_max - cfg.p_min) * ramp
+    evidence = 0.0 if utt.ambiguous_mask[n] else ramp
+    if cfg.noise_std > 0:
+        key = int.from_bytes(hashlib.blake2s(utt.id.encode("utf-8"), digest_size=8).digest(), "little")
+        frame = round(t / cfg.frame_s)
+        evidence += cfg.noise_std * float(_hash_standard_normal(cfg.rng_seed, key, frame, n))
+    return prob, evidence
+
+
+@st.composite
+def oracle_cases(draw):
+    """A config (noise on or off) and an utterance whose duration need not be whole frames."""
+    cfg = SynthConfig(noise_std=draw(st.sampled_from([0.0, 0.4])), ramp_s=draw(st.floats(0.05, 1.0)),
+                      rng_seed=draw(st.integers(0, 2**31)))
+    n_tok = draw(st.integers(1, 5))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n_tok, max_size=n_tok))
+    boundaries = np.cumsum(gaps)
+    utt = Utterance(id=draw(st.text(min_size=1, max_size=8)),
+                    duration_s=float(boundaries[-1]) + draw(st.floats(0.0, 1.0)),
+                    target_tokens=draw(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=n_tok, max_size=n_tok)),
+                    boundaries_s=boundaries,
+                    ambiguous_mask=draw(st.lists(st.booleans(), min_size=n_tok, max_size=n_tok)))
+    return cfg, utt
+
+
+def evidence_of(oracle, features):
+    return (features @ oracle.mixing_matrix.T)[..., -2]  # the mixer is orthogonal
+
+
+class TestKernelAgainstClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(case=oracle_cases(), data=st.data())
+    def test_per_state_views(self, case, data):
+        cfg, utt = case
+        oracle = OracleModel(cfg)
+        t = data.draw(st.floats(0.0, utt.duration_s))
+        n = data.draw(st.integers(0, utt.n_tokens - 1))
+        prob, evidence = closed_form(cfg, utt, t, n)
+        full, _ = closed_form(cfg, utt, utt.duration_s, n)
+        assert oracle.correct_token_prob(utt, t, n) == pytest.approx(prob, rel=1e-12, abs=1e-15)
+        assert oracle.true_info_gain(utt, t, n) == pytest.approx(math.log(full) - math.log(prob), abs=1e-12)
+        assert evidence_of(oracle, oracle.features(utt, t, n)) == pytest.approx(evidence, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=oracle_cases())
+    def test_exhaustive_batch_and_grid(self, case):
+        cfg, utt = case
+        oracle = OracleModel(cfg)
+        batch = sample_batch([utt], oracle, TrainConfig(t_grid="exhaustive"), np.random.default_rng(0))
+        params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA, cfg.feature_dim, hidden_dims=(8,)), 0)
+        _, gains = score_info_gain_grid(oracle, params, [utt])
+        for i, (t, n) in enumerate(zip(batch.t_audio.tolist(), batch.token_index.tolist())):
+            prob, evidence = closed_form(cfg, utt, t, n)
+            full, _ = closed_form(cfg, utt, utt.duration_s, n)
+            n_next = min(n + 1, utt.n_tokens - 1)
+            assert math.exp(batch.label_partial_logp[i]) == pytest.approx(prob, rel=1e-12)
+            assert math.exp(batch.label_full_logp[i]) == pytest.approx(full, rel=1e-12)
+            assert evidence_of(oracle, batch.features[i]) == pytest.approx(evidence, abs=1e-12)
+            assert evidence_of(oracle, batch.features_next[i]) == pytest.approx(
+                closed_form(cfg, utt, t, n_next)[1], abs=1e-12)
+            assert gains[i] == pytest.approx(math.log(full) - math.log(prob), abs=1e-12)

@@ -13,9 +13,8 @@ from simulgain.policy import (
     init_params,
     params_to_vector,
 )
-from simulgain.synth import OracleModel, SynthConfig, generate_dataset
+from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, Utterance, generate_dataset
 from simulgain.training import (
-    DatasetIndex,
     TrainConfig,
     grad_check,
     sample_batch,
@@ -82,6 +81,16 @@ class TestSampleBatch:
         expected = {(round(j * oracle1.config.frame_s, 6), n)
                     for j in range(frames) for n in range(utt.n_tokens)}
         assert seen == expected
+
+    def test_exhaustive_covers_frame_grid_of_partial_last_frame(self, env):
+        # 2.03 s is not a whole number of 50 ms frames: the grid ends at T itself
+        cfg, oracle, _ = env
+        utt = Utterance("x", 2.03, [1, 2], [0.5, 1.4], [False, False])
+        grid = oracle.frame_grid(utt)
+        assert grid.shape == (42,) and grid[-1] == 2.03
+        batch = sample_batch([utt], oracle, TrainConfig(t_grid="exhaustive"), np.random.default_rng(0))
+        np.testing.assert_array_equal(batch.t_audio, np.repeat(grid, utt.n_tokens))
+        np.testing.assert_array_equal(batch.token_index, np.tile([0, 1], grid.shape[0]))
 
     def test_stratified_mode_counts(self, env):
         cfg, oracle, dataset = env
