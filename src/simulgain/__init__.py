@@ -9,7 +9,6 @@ from .losses import (
     cov_loss,
     l2_loss,
     loss_and_grad,
-    mono_loss,
     mse_label_loss,
     total_loss,
     total_loss_grad,

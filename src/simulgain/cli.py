@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,29 +24,38 @@ from .losses import LossWeights
 from .metrics import (
     LatencyBand,
     bleu,
-    laal,
     latency_vs_position,
     nose,
-    read_loop_pct,
     read_pareto_csv,
     write_latency_bins_csv,
     write_nose_csv,
     write_pareto_csv,
 )
 from .policy import PolicyConfig, PolicyVariant, load_params, save_params
-from .streaming import StreamConfig, ThresholdPolicy, load_logs, save_logs, simulate, sweep
+from .streaming import StreamConfig, load_logs, save_logs, sweep
 from .synth import OracleModel, SynthConfig, generate_dataset, load_dataset, save_dataset
 from .training import TrainConfig, train, write_training_csv
 
 
+_PATHS = ("dataset", "checkpoint", "out_dir")  # grouped under "paths" in the config file
+_POLICY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PolicyConfig)}
+
+
 @dataclass
 class ExperimentConfig:
-    synth: SynthConfig
-    train: TrainConfig
-    loss: LossWeights
-    stream: StreamConfig
-    hidden_dims: tuple[int, ...] = (64, 64)
-    time_base: float = 100.0
+    """Every setting of a command; the config file's keys are these field names.
+
+    A section (a field whose default is built by its class) may be given as
+    a dict of its fields, and other values as JSON reads them;
+    ``__post_init__`` converts them.
+    """
+
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    loss: LossWeights = field(default_factory=LossWeights)
+    stream: StreamConfig = field(default_factory=StreamConfig)
+    hidden_dims: tuple[int, ...] = _POLICY_DEFAULTS["hidden_dims"]
+    time_base: float = _POLICY_DEFAULTS["time_base"]
     count: int = 100
     alphas: tuple[float, ...] = ()
     band: LatencyBand | None = None
@@ -55,13 +64,22 @@ class ExperimentConfig:
     checkpoint: str = "policy.ckpt"
     out_dir: str = "out"
 
-
-def _section(cls, data: dict, name: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"{name}.{key}: unknown field")
-    return cls(**data)
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            section, value = f.default_factory, getattr(self, f.name)
+            if section is not dataclasses.MISSING and not isinstance(value, section):
+                known = {g.name for g in dataclasses.fields(section)}
+                for key in value:
+                    if key not in known:
+                        raise ConfigError(f"{f.name}.{key}: unknown field")
+                setattr(self, f.name, section(**value))
+        self.hidden_dims = tuple(self.hidden_dims)
+        self.time_base = float(self.time_base)
+        self.count = int(self.count)
+        self.alphas = tuple(float(a) for a in self.alphas)
+        if self.band is not None:
+            self.band = LatencyBand(float(self.band[0]), float(self.band[1]))
+        self.report_bins = int(self.report_bins)
 
 
 def load_config(path: str | None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
@@ -71,31 +89,20 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path}: {exc}") from exc
-    known = {"synth", "train", "loss", "stream", "hidden_dims", "time_base", "count",
-             "alphas", "band", "report_bins", "paths"}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path}: must hold a JSON object")
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(_PATHS) | {"paths"}
     for key in data:
         if key not in known:
             raise ConfigError(f"{key}: unknown config section")
-    paths = data.get("paths", {})
-    for key in paths:
-        if key not in ("dataset", "checkpoint", "out_dir"):
-            raise ConfigError(f"paths.{key}: unknown field")
-    band = data.get("band")
-    cfg = ExperimentConfig(
-        synth=_section(SynthConfig, data.get("synth", {}), "synth"),
-        train=_section(TrainConfig, data.get("train", {}), "train"),
-        loss=_section(LossWeights, data.get("loss", {}), "loss"),
-        stream=_section(StreamConfig, data.get("stream", {}), "stream"),
-        hidden_dims=tuple(data.get("hidden_dims", (64, 64))),
-        time_base=float(data.get("time_base", 100.0)),
-        count=int(data.get("count", 100)),
-        alphas=tuple(float(a) for a in data.get("alphas", ())),
-        band=LatencyBand(float(band[0]), float(band[1])) if band is not None else None,
-        report_bins=int(data.get("report_bins", 10)),
-        dataset=paths.get("dataset", "dataset.jsonl"),
-        checkpoint=paths.get("checkpoint", "policy.ckpt"),
-        out_dir=paths.get("out_dir", "out"),
-    )
+    try:
+        paths = data.pop("paths", {})
+        for key in paths:
+            if key not in _PATHS:
+                raise ConfigError(f"paths.{key}: unknown field")
+        cfg = ExperimentConfig(**data, **paths)
+    except TypeError as exc:  # a value of the wrong JSON type
+        raise ConfigError(f"config file {path}: {exc}") from None
     if seed is not None:
         cfg.synth = dataclasses.replace(cfg.synth, rng_seed=seed)
         cfg.train = dataclasses.replace(cfg.train, rng_seed=seed)
@@ -110,18 +117,29 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _policy_config(cfg: ExperimentConfig, variant: PolicyVariant) -> PolicyConfig:
-    return PolicyConfig.for_variant(variant, input_dim=cfg.synth.feature_dim,
-                                    hidden_dims=cfg.hidden_dims, time_base=cfg.time_base)
+def _synth_record(synth: SynthConfig) -> dict:
+    """The synth config as a checkpoint header stores it (tuples become lists)."""
+    return json.loads(json.dumps(dataclasses.asdict(synth)))
 
 
 def _stream_inputs(cfg: ExperimentConfig):
-    """Dataset, oracle, policy and checkpoint extras; the policy must fit the oracle's features."""
+    """Dataset, oracle, policy and checkpoint extras.
+
+    The checkpoint must have been trained against the oracle ``cfg.synth``
+    builds: the same feature width and the same recorded synth config.
+    """
     dataset = load_dataset(cfg.dataset)
     params, extra = load_params(cfg.checkpoint)
     if params.config.input_dim != cfg.synth.feature_dim:
         raise ConfigError(f"checkpoint {cfg.checkpoint}: input_dim {params.config.input_dim} does not match "
                           f"synth.feature_dim {cfg.synth.feature_dim}")
+    if not isinstance(extra.get("synth"), dict):
+        raise ConfigError(f"checkpoint {cfg.checkpoint}: records no synth config; retrain it")
+    trained, ours = extra["synth"], _synth_record(cfg.synth)
+    differing = [f"{key} {trained.get(key)!r} in the checkpoint, {ours.get(key)!r} in the config"
+                 for key in sorted(set(trained) | set(ours)) if trained.get(key) != ours.get(key)]
+    if differing:
+        raise ConfigError(f"checkpoint {cfg.checkpoint}: trained on another synth config: {'; '.join(differing)}")
     return dataset, OracleModel(cfg.synth), params, extra
 
 
@@ -143,13 +161,12 @@ def cmd_train(args) -> int:
     if args.objective is not None:
         cfg.train = dataclasses.replace(cfg.train, objective=args.objective)
     dataset = load_dataset(cfg.dataset)
-    oracle = OracleModel(cfg.synth)
     variant = cfg.train.variant
-    if variant.uses_alignment_loss and not any(u.aligned for u in dataset):
-        print("warning: no aligned utterances; alignment term will be 0", file=sys.stderr)
-    report = train(oracle, dataset, _policy_config(cfg, variant), cfg.train, cfg.loss)
-    save_params(report.params, cfg.checkpoint, extra={"variant": variant.value,
-                                                      "objective": cfg.train.objective})
+    pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim, hidden_dims=cfg.hidden_dims,
+                                     time_base=cfg.time_base)
+    report = train(OracleModel(cfg.synth), dataset, pconf, cfg.train, cfg.loss)
+    save_params(report.params, cfg.checkpoint, extra={"variant": variant.value, "objective": cfg.train.objective,
+                                                      "synth": _synth_record(cfg.synth)})
     out = _out_dir(cfg)
     write_training_csv(report, out / "training.csv")
     last = report.records[-1]
@@ -159,18 +176,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """A sweep of one threshold that keeps its emission logs."""
     cfg = load_config(args.config, args.seed, args.out)
-    if args.alpha is not None:
-        cfg.stream = dataclasses.replace(cfg.stream, alpha=args.alpha)
+    alpha = cfg.stream.alpha if args.alpha is None else args.alpha
     dataset, oracle, params, _ = _stream_inputs(cfg)
-    policy = ThresholdPolicy(oracle, params, cfg.stream.alpha)
-    logs = [simulate(oracle, utt, policy, cfg.stream) for utt in dataset]
+    [point], logs_by_alpha = sweep(oracle, params, dataset, [alpha], cfg.stream, collect_logs=True)
     out = _out_dir(cfg)
-    save_logs(logs, out / "emission_logs.jsonl")
-    mean_laal = float(np.mean([laal(log, utt.n_tokens) for log, utt in zip(logs, dataset)]))
-    quality = bleu([log.tokens for log in logs], [list(u.target_tokens) for u in dataset])
-    print(f"alpha={cfg.stream.alpha}: mean LAAL {mean_laal:.3f} s, BLEU {quality:.2f}, "
-          f"read loops {read_loop_pct(logs):.1f}% -> {out / 'emission_logs.jsonl'}")
+    save_logs(logs_by_alpha[float(alpha)], out / "emission_logs.jsonl")
+    print(f"alpha={alpha}: mean LAAL {point.mean_laal_s:.3f} s, BLEU {point.quality:.2f}, "
+          f"read loops {point.read_loop_pct:.1f}% -> {out / 'emission_logs.jsonl'}")
     return 0
 
 
@@ -219,8 +233,11 @@ def cmd_report(args) -> int:
     mid = 0.5 * (cfg.band.x + cfg.band.y)
     for sweep_dir in args.sweeps:
         sweep_path = Path(sweep_dir)
-        meta = json.loads((sweep_path / "meta.json").read_text(encoding="utf-8"))
-        variant = meta["variant"]
+        meta_path = sweep_path / "meta.json"
+        try:
+            variant = json.loads(meta_path.read_text(encoding="utf-8"))["variant"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"sweep meta {meta_path}: malformed ({exc!r})") from None
         points = read_pareto_csv(sweep_path / "pareto.csv")
         nose_rows.append((variant, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))

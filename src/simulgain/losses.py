@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BatchError, ConfigError, ShapeError
 from .numerics import sigmoid, sigmoid_from_exp
-from .policy import PolicyVariant
 
 
 @dataclass(frozen=True)
@@ -59,14 +58,6 @@ def cov_loss(q, labels, epsilon: float = 1e-5) -> float:
     if q.shape != labels.shape:
         raise ShapeError(f"q has length {q.shape[0]} but labels has length {labels.shape[0]}")
     return float(np.mean(q * batch_normalize(labels, epsilon)))
-
-
-def mono_loss(q_sequence) -> float:
-    """Hinge on adjacent pairs: zero iff the sequence is nondecreasing."""
-    q = _as_1d("q_sequence", q_sequence)
-    if q.shape[0] <= 1:
-        return 0.0
-    return float(np.maximum(0.0, q[:-1] - q[1:]).sum())
 
 
 def l2_loss(q) -> float:
@@ -140,7 +131,7 @@ def _mono_pair_terms(q, q_next, next_valid):
     return q_next, valid, int(valid.sum())
 
 
-def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
+def loss_and_grad(q, labels, weights: LossWeights, *,
                   q_next=None, next_valid=None, align_targets=None, align_mask=None,
                   objective: str = "cov") -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
     """Combined objective and its score gradients in one pass.
@@ -150,10 +141,12 @@ def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
     once and shared by the loss and the gradient.
 
     Breakdown values are the weighted contributions, so they sum to the total.
-    ``align_active`` counts the examples actually used by the alignment term;
-    for alignment-aware variants with no usable examples the term is 0.
-    ``dq_next`` is None unless the monotonicity term is active (``q_next``
-    given and ``lambda_mono > 0``).
+    The monotonicity hinge costs ``lambda_mono`` times the mean of
+    ``max(0, q - q_next)`` over the valid pairs; ``dq_next`` is None unless
+    it is active (``q_next`` given and ``lambda_mono > 0``).  The alignment
+    term is active when ``align_targets`` is given, which the training step
+    does for the alignment-aware variants only; ``align_active`` counts the
+    examples it used, and with none the term is 0.
 
     ``labels`` are always likelihood differences in the partial-minus-full
     direction.  The MSE ablation regresses the score onto the sign-flipped
@@ -189,7 +182,7 @@ def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
 
     align = 0.0
     align_active = 0
-    if variant.uses_alignment_loss and align_targets is not None:
+    if align_targets is not None:
         y, mask = _align_inputs(q, align_targets, align_mask)
         align_active = int(mask.sum())
         if align_active:
@@ -201,7 +194,7 @@ def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
         "cov": fit,
         "mono": weights.lambda_mono * mono,
         "l2": weights.lambda_l2 * l2_loss(q),
-        "align": weights.lambda_align * align if variant.uses_alignment_loss else 0.0,
+        "align": weights.lambda_align * align,
         "align_active": float(align_active),
     }
     total = breakdown["cov"] + breakdown["mono"] + breakdown["l2"] + breakdown["align"]
@@ -209,15 +202,13 @@ def loss_and_grad(variant: PolicyVariant, q, labels, weights: LossWeights, *,
     return total, breakdown, dq, dq_next
 
 
-def total_loss(variant: PolicyVariant, q, labels, weights: LossWeights,
-               **terms) -> tuple[float, dict[str, float]]:
+def total_loss(q, labels, weights: LossWeights, **terms) -> tuple[float, dict[str, float]]:
     """(total, weighted per-term breakdown) of :func:`loss_and_grad`, same arguments."""
-    total, breakdown, _, _ = loss_and_grad(variant, q, labels, weights, **terms)
+    total, breakdown, _, _ = loss_and_grad(q, labels, weights, **terms)
     return total, breakdown
 
 
-def total_loss_grad(variant: PolicyVariant, q, labels, weights: LossWeights,
-                    **terms) -> tuple[np.ndarray, np.ndarray | None]:
+def total_loss_grad(q, labels, weights: LossWeights, **terms) -> tuple[np.ndarray, np.ndarray | None]:
     """(d(total)/dq, d(total)/dq_next) of :func:`loss_and_grad`, same arguments."""
-    _, _, dq, dq_next = loss_and_grad(variant, q, labels, weights, **terms)
+    _, _, dq, dq_next = loss_and_grad(q, labels, weights, **terms)
     return dq, dq_next

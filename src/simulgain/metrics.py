@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MetricError, ShapeError
+from .errors import MetricError, ShapeError, parse_lines
 from .streaming import EmissionLog, detect_read_loop
 
 _END_EPS = 1e-9
@@ -232,15 +232,14 @@ def write_pareto_csv(points, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _pareto_point(line: str) -> ParetoPoint:
+    alpha, laal_s, quality, loop = (float(v) for v in line.split(","))
+    return ParetoPoint(alpha=alpha, mean_laal_s=laal_s, quality=quality, read_loop_pct=loop)
+
+
 def read_pareto_csv(path) -> list[ParetoPoint]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    points = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        alpha, laal_s, quality, loop = (float(v) for v in line.split(","))
-        points.append(ParetoPoint(alpha=alpha, mean_laal_s=laal_s, quality=quality, read_loop_pct=loop))
-    return points
+    """Read a sweep's points; a malformed row raises ConfigError naming the file and line."""
+    return parse_lines(path, _pareto_point, "pareto csv", first=2)
 
 
 def write_nose_csv(rows, path) -> None:

@@ -36,10 +36,15 @@ class PolicyVariant(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
+    """Shape of the policy head.
+
+    The time embedding, when used, is added to the features, so its width
+    is ``input_dim``, which must then be even.
+    """
+
     input_dim: int
     hidden_dims: tuple[int, ...] = (64, 64)
     use_time_embedding: bool = False
-    time_embed_dim: int | None = None
     time_base: float = 100.0
 
     def __post_init__(self):
@@ -50,25 +55,17 @@ class PolicyConfig:
             raise ConfigError("hidden_dims: all widths must be >= 1")
         if self.time_base <= 1:
             raise ConfigError("time_base: must be > 1")
-        if self.use_time_embedding:
-            if self.resolved_time_dim != self.input_dim:
-                raise ConfigError("time_embed_dim: must equal input_dim (the encoding is added, not concatenated)")
-            if self.input_dim % 2:
-                raise ConfigError("input_dim: must be even when the time embedding is enabled")
-
-    @property
-    def resolved_time_dim(self) -> int:
-        return self.input_dim if self.time_embed_dim is None else self.time_embed_dim
+        if self.use_time_embedding and self.input_dim % 2:
+            raise ConfigError("input_dim: must be even when the time embedding is enabled")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_dims, 1)
 
     @classmethod
-    def for_variant(cls, variant: PolicyVariant, input_dim: int,
-                    hidden_dims: tuple[int, ...] = (64, 64), time_base: float = 100.0) -> "PolicyConfig":
-        return cls(input_dim=input_dim, hidden_dims=hidden_dims,
-                   use_time_embedding=variant.uses_time_embedding, time_base=time_base)
+    def for_variant(cls, variant: PolicyVariant, input_dim: int, **fields) -> "PolicyConfig":
+        """The config a variant trains; ``fields`` sets the remaining shape fields."""
+        return cls(input_dim=input_dim, use_time_embedding=variant.uses_time_embedding, **fields)
 
 
 @dataclass
@@ -114,11 +111,6 @@ def time_embedding(t_audio, d: int, base: float = 100.0) -> np.ndarray:
     return out
 
 
-def _check_variant(config: PolicyConfig, variant: PolicyVariant | None) -> None:
-    if variant is not None and variant.uses_time_embedding != config.use_time_embedding:
-        raise ConfigError(f"variant {variant.value} incompatible with use_time_embedding={config.use_time_embedding}")
-
-
 def _net_input(params: PolicyParams, features: np.ndarray, t_audio, embedding=None) -> np.ndarray:
     cfg = params.config
     if features.ndim != 2 or features.shape[1] != cfg.input_dim:
@@ -135,14 +127,12 @@ def _net_input(params: PolicyParams, features: np.ndarray, t_audio, embedding=No
     return features + embedding
 
 
-def forward_with_cache(params: PolicyParams, features, t_audio, variant: PolicyVariant | None = None, *,
-                       embedding: np.ndarray | None = None):
+def forward_with_cache(params: PolicyParams, features, t_audio, *, embedding: np.ndarray | None = None):
     """Batched forward pass; returns (scores, per-layer activations for backprop).
 
     ``embedding`` is ``time_embedding(t_audio, ...)`` computed by the caller,
     so two passes at the same audio times can share it.
     """
-    _check_variant(params.config, variant)
     x = _net_input(params, np.asarray(features, dtype=np.float64), t_audio, embedding)
     activations = [x]
     h = x
@@ -153,16 +143,16 @@ def forward_with_cache(params: PolicyParams, features, t_audio, variant: PolicyV
     return scores, activations
 
 
-def forward_batch(params: PolicyParams, features, t_audio, variant: PolicyVariant | None = None) -> np.ndarray:
-    return forward_with_cache(params, features, t_audio, variant)[0]
+def forward_batch(params: PolicyParams, features, t_audio) -> np.ndarray:
+    return forward_with_cache(params, features, t_audio)[0]
 
 
-def forward(params: PolicyParams, features, t_audio: float, variant: PolicyVariant | None = None) -> float:
+def forward(params: PolicyParams, features, t_audio: float) -> float:
     """Score for a single state; positive-leaning scores favour reading more audio."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise ShapeError(f"expected a single feature vector, got shape {features.shape}")
-    scores = forward_batch(params, features[None, :], np.asarray([t_audio], dtype=np.float64), variant)
+    scores = forward_batch(params, features[None, :], np.asarray([t_audio], dtype=np.float64))
     return float(scores[0])
 
 
@@ -189,10 +179,9 @@ def backward_from_cache(params: PolicyParams, activations, upstream,
     return grads_w, grads_b
 
 
-def backward(params: PolicyParams, features, t_audio, upstream,
-             variant: PolicyVariant | None = None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def backward(params: PolicyParams, features, t_audio, upstream) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the batched forward pass contracted with ``upstream``."""
-    _, cache = forward_with_cache(params, features, t_audio, variant)
+    _, cache = forward_with_cache(params, features, t_audio)
     return backward_from_cache(params, cache, upstream)
 
 
@@ -239,7 +228,6 @@ def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
             "input_dim": cfg.input_dim,
             "hidden_dims": list(cfg.hidden_dims),
             "use_time_embedding": cfg.use_time_embedding,
-            "time_embed_dim": cfg.time_embed_dim,
             "time_base": cfg.time_base,
         },
         "extra": extra or {},
@@ -257,6 +245,8 @@ def load_params(path) -> tuple[PolicyParams, dict]:
         newline = blob.index(b"\n")
         header = json.loads(blob[:newline].decode("utf-8"))
         vector = np.frombuffer(blob, dtype="<f8", offset=newline + 1)
+        if not isinstance(header["extra"], dict):
+            raise TypeError("extra: must be a JSON object")
         return vector_to_params(PolicyConfig(**header["config"]), vector), header["extra"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path}: malformed or truncated ({exc!r})") from None

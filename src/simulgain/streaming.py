@@ -10,13 +10,13 @@ what defines a read loop: nothing was emitted before the source ran out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
-from .policy import PolicyParams, PolicyVariant, forward
+from .errors import ConfigError, parse_lines
+from .policy import PolicyParams, forward
 from .synth import OracleModel, Utterance
 
 _END_EPS = 1e-12
@@ -26,13 +26,10 @@ _END_EPS = 1e-12
 class StreamConfig:
     chunk_ms: float = 250.0
     alpha: float = 0.0
-    max_tokens: int | None = None
 
     def __post_init__(self):
         if self.chunk_ms <= 0:
             raise ConfigError("chunk_ms: must be > 0")
-        if self.max_tokens is not None and self.max_tokens < 1:
-            raise ConfigError("max_tokens: must be >= 1 when set")
 
     @property
     def chunk_s(self) -> float:
@@ -41,7 +38,11 @@ class StreamConfig:
 
 @dataclass
 class EmissionLog:
-    """Per-token emission record of one streaming run."""
+    """Per-token emission record of one streaming run.
+
+    ``truncated`` is part of the log format; :func:`simulate` emits every
+    target token, so its logs never set it.
+    """
 
     utt_id: str
     tokens: list[int]
@@ -64,16 +65,13 @@ class EmissionLog:
 class ThresholdPolicy:
     """Read while the learned score exceeds the threshold alpha."""
 
-    def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float,
-                 variant: PolicyVariant | None = None):
+    def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
         self.oracle = oracle
         self.params = params
         self.alpha = alpha
-        self.variant = variant
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int, n_emitted: int) -> bool:
-        score = forward(self.params, self.oracle.features(utt, t_s, n), t_s, self.variant)
-        return score > self.alpha
+    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
+        return forward(self.params, self.oracle.features(utt, t_s, n), t_s) > self.alpha
 
 
 class GainThresholdPolicy:
@@ -85,7 +83,7 @@ class GainThresholdPolicy:
         self.oracle = oracle
         self.gain_threshold = gain_threshold
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int, n_emitted: int) -> bool:
+    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
         return self.oracle.true_info_gain(utt, t_s, n) > self.gain_threshold
 
 
@@ -97,49 +95,40 @@ class WaitKPolicy:
             raise ConfigError("k: must be >= 0")
         self.k = k
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int, n_emitted: int) -> bool:
-        return n_emitted > chunks_read - self.k
+    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
+        return n > chunks_read - self.k
 
 
 def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) -> EmissionLog:
     """Run one utterance through the chunked read/write loop.
 
-    The first decision happens after one chunk has been consumed, so every
-    delay is strictly positive.  Audio never rewinds; several tokens may be
-    emitted at the same prefix.
+    While audio remains, ``policy.wants_read(utt, t_s, n, chunks_read)`` is
+    asked whether to read another chunk or write pending token ``n`` (the
+    count of tokens written so far) at the consumed time ``t_s``.  The first
+    decision happens after one chunk has been consumed, so every delay is
+    strictly positive.  Audio never rewinds; several tokens may be emitted at
+    the same prefix.
     """
-    n_total = utt.n_tokens
     duration = utt.duration_s
-    cap = config.max_tokens if config.max_tokens is not None else 4 * n_total
-    if cap < n_total:
-        raise ConfigError(f"max_tokens: {cap} is below the {n_total} tokens of utterance {utt.id}")
     chunk = config.chunk_s
     chunks_read = 1
-    t = min(chunks_read * chunk, duration)
+    t = min(chunk, duration)
     tokens: list[int] = []
     delays: list[float] = []
-    n_forced = 0
-    truncated = False
-    pending = 0
-    while pending < n_total:
-        if len(tokens) >= cap:
-            truncated = True
-            break
-        if t >= duration - _END_EPS:
-            tokens.append(oracle.greedy_token(utt, duration, pending))
-            delays.append(duration)
-            n_forced += 1
-            pending += 1
-            continue
-        if policy.wants_read(utt, t, pending, chunks_read, pending):
+    n = 0
+    while n < utt.n_tokens and t < duration - _END_EPS:
+        if policy.wants_read(utt, t, n, chunks_read):
             chunks_read += 1
             t = min(chunks_read * chunk, duration)
         else:
-            tokens.append(oracle.greedy_token(utt, t, pending))
+            tokens.append(oracle.greedy_token(utt, t, n))
             delays.append(t)
-            pending += 1
-    return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays,
-                       duration_s=duration, n_forced=n_forced, truncated=truncated)
+            n += 1
+    n_forced = utt.n_tokens - n
+    for n in range(n, utt.n_tokens):
+        tokens.append(oracle.greedy_token(utt, duration, n))
+        delays.append(duration)
+    return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
 
 
 def detect_read_loop(log: EmissionLog) -> bool:
@@ -150,8 +139,7 @@ def detect_read_loop(log: EmissionLog) -> bool:
 
 
 def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
-          config: StreamConfig, variant: PolicyVariant | None = None,
-          policy_factory=None, collect_logs: bool = False):
+          config: StreamConfig, policy_factory=None, collect_logs: bool = False):
     """Simulate the whole dataset at each threshold; one operating point per alpha.
 
     ``policy_factory(alpha)`` overrides the default threshold policy, which
@@ -166,7 +154,7 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     if policy_factory is None:
         if params is None:
             raise ConfigError("params: required unless a policy_factory is given")
-        policy_factory = lambda alpha: ThresholdPolicy(oracle, params, alpha, variant)
+        policy_factory = lambda alpha: ThresholdPolicy(oracle, params, alpha)
     refs = [list(u.target_tokens) for u in dataset]
     points = []
     logs_by_alpha: dict[float, list[EmissionLog]] = {}
@@ -213,5 +201,5 @@ def save_logs(logs, path) -> None:
 
 
 def load_logs(path) -> list[EmissionLog]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [emission_log_from_json(line) for line in lines if line.strip()]
+    """Read emission logs; a malformed line raises ConfigError naming the file and line."""
+    return parse_lines(path, emission_log_from_json, "emission logs")

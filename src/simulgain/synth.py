@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, parse_lines
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -375,11 +375,4 @@ def save_dataset(utterances, path) -> None:
 
 def load_dataset(path) -> list[Utterance]:
     """Read a dataset; a malformed line raises ConfigError naming the file and line."""
-    utterances = []
-    for number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        try:
-            if line.strip():
-                utterances.append(utterance_from_json(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"dataset {path}, line {number}: {exc!r}") from None
-    return utterances
+    return parse_lines(path, utterance_from_json, "dataset")

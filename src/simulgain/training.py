@@ -235,14 +235,15 @@ class _FlatHead:
         self._square_views = [a for part in vector_views(config, self._squares) for a in part]
         self._activations = None
 
-    def loss_and_param_grad(self, variant: PolicyVariant, weights: LossWeights, objective: str,
+    def loss_and_param_grad(self, weights: LossWeights, objective: str,
                             features, features_next, t_audio, labels, next_valid,
                             align_targets, align_mask) -> dict[str, float]:
         """Loss breakdown of one step; leaves d(total)/d(theta) in ``grad``.
 
-        ``features_next`` is None when the monotonicity term is off.  The
-        time embedding, when the head uses one, is computed once and added
-        to both token views.
+        ``features_next`` is None when the monotonicity term is off, and
+        ``align_targets`` when the variant has no alignment term.  The time
+        embedding, when the head uses one, is computed once and added to both
+        token views.
         """
         params = self.params
         cfg = params.config
@@ -252,7 +253,7 @@ class _FlatHead:
         if features_next is not None:
             scores_next, cache_next = forward_with_cache(params, features_next, t_audio, embedding=embedding)
         _, breakdown, dq, dq_next = loss_and_grad(
-            variant, scores, labels, weights, q_next=scores_next, next_valid=next_valid,
+            scores, labels, weights, q_next=scores_next, next_valid=next_valid,
             align_targets=align_targets, align_mask=align_mask, objective=objective)
         for term in ("cov", "mono", "l2", "align", "total"):
             if not math.isfinite(breakdown[term]):
@@ -313,7 +314,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
             targets, mask = _alignment_arrays(batch, loss_weights)
         try:
             breakdown = head.loss_and_param_grad(
-                variant, loss_weights, train_config.objective, batch.features,
+                loss_weights, train_config.objective, batch.features,
                 batch.features_next if use_mono else None, batch.t_audio, batch.labels,
                 batch.next_valid if use_mono else None, targets, mask)
         except NumericError as exc:
@@ -379,15 +380,17 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
     mask = rng.random(batch) < 0.7
     if loss_weights.lambda_mono == 0:
         feats_next = next_valid = None
+    if not variant.uses_alignment_loss:
+        targets = mask = None
     head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]))
-    head.loss_and_param_grad(variant, loss_weights, objective, feats, feats_next, t_audio, labels,
+    head.loss_and_param_grad(loss_weights, objective, feats, feats_next, t_audio, labels,
                              next_valid, targets, mask)
     analytic = head.grad
 
     def loss_at(p: PolicyParams) -> float:
         scores = forward_batch(p, feats, t_audio)
         q_next = None if feats_next is None else forward_batch(p, feats_next, t_audio)
-        return total_loss(variant, scores, labels, loss_weights, q_next=q_next, next_valid=next_valid,
+        return total_loss(scores, labels, loss_weights, q_next=q_next, next_valid=next_valid,
                           align_targets=targets, align_mask=mask, objective=objective)[0]
 
     theta = head.theta

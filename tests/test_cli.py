@@ -57,6 +57,15 @@ class TestGen:
         assert main(["gen", "--config", str(bad)]) == 2
 
 
+    @pytest.mark.parametrize("text", ['[]', '{"synth": 5}', '{"paths": 5}', '{"band": 3}',
+                                      '{"synth": {"vocab_size": "50"}}'])
+    def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, text, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["gen", "--config", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_checkpoint_matches_in_memory_training(self, workspace):
         tmp, cfg_path, config = workspace
@@ -205,6 +214,16 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt}: malformed or truncated" in err
 
+    def test_checkpoint_extra_not_an_object(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        header, arrays = ckpt.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        record["extra"] = []
+        ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        assert f"checkpoint {ckpt}: malformed or truncated" in capsys.readouterr().err
+
     def test_malformed_dataset_line(self, trained, capsys):
         tmp, cfg_path, config = trained
         data = tmp / "data.jsonl"
@@ -223,6 +242,59 @@ class TestBadInputFiles:
         assert main(["sweep", "--config", str(other), "--out", str(tmp / "sweep8")]) == 2
         err = capsys.readouterr().err
         assert str(tmp / "policy.ckpt") in err and "input_dim 16" in err and "feature_dim 8" in err
+
+
+    def test_checkpoint_for_another_synth_config(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        for argv in (["sweep", "--out", str(tmp / "sweep99")], ["simulate", "--out", str(tmp / "sim99")]):
+            assert main([*argv, "--config", str(cfg_path), "--seed", "99"]) == 2
+            err = capsys.readouterr().err
+            assert str(tmp / "policy.ckpt") in err and "rng_seed 5 in the checkpoint, 99 in the config" in err
+
+    def test_checkpoint_without_synth_config(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        header, arrays = ckpt.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        del record["extra"]["synth"]
+        ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        assert f"checkpoint {ckpt}: records no synth config" in capsys.readouterr().err
+
+    @pytest.fixture
+    def swept(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        sweep_dir = tmp / "sweep"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(sweep_dir)]) == 0
+        capsys.readouterr()
+        return cfg_path, sweep_dir
+
+    def report(self, cfg_path, sweep_dir):
+        return main(["report", "--config", str(cfg_path), "--sweeps", str(sweep_dir),
+                     "--out", str(sweep_dir.parent / "report")])
+
+    def test_truncated_sweep_logs(self, swept, capsys):
+        cfg_path, sweep_dir = swept
+        for logs in sweep_dir.glob("logs_*.jsonl"):
+            logs.write_bytes(logs.read_bytes()[:50])
+        assert self.report(cfg_path, sweep_dir) == 2
+        err = capsys.readouterr().err
+        assert f"emission logs {sweep_dir / 'logs_'}" in err and ".jsonl, line 1: JSONDecodeError" in err
+
+    def test_short_pareto_row(self, swept, capsys):
+        cfg_path, sweep_dir = swept
+        pareto = sweep_dir / "pareto.csv"
+        lines = pareto.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:2])
+        pareto.write_text("\n".join(lines) + "\n")
+        assert self.report(cfg_path, sweep_dir) == 2
+        assert f"pareto csv {pareto}, line 3: ValueError" in capsys.readouterr().err
+
+    def test_malformed_sweep_meta(self, swept, capsys):
+        cfg_path, sweep_dir = swept
+        (sweep_dir / "meta.json").write_text("{")
+        assert self.report(cfg_path, sweep_dir) == 2
+        assert f"sweep meta {sweep_dir / 'meta.json'}: malformed" in capsys.readouterr().err
 
 
 def test_end_to_end_pipeline_determinism(tmp_path):

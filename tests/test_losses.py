@@ -11,12 +11,10 @@ from simulgain.losses import (
     bce_align_loss,
     cov_loss,
     l2_loss,
-    mono_loss,
     mse_label_loss,
     total_loss,
     total_loss_grad,
 )
-from simulgain.policy import PolicyVariant
 
 
 class TestBatchNormalize:
@@ -61,21 +59,33 @@ class TestCovLoss:
             cov_loss([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def mono_term(q, q_next, next_valid=None, lambda_mono=0.1):
+    """The weighted monotonicity hinge of the combined objective, alone."""
+    weights = LossWeights(lambda_mono=lambda_mono, lambda_l2=0.0, lambda_align=0.0)
+    q = np.asarray(q, dtype=np.float64)
+    return total_loss(q, np.arange(q.shape[0], dtype=np.float64), weights,
+                      q_next=q_next, next_valid=next_valid)[1]["mono"]
+
+
 class TestMonoLoss:
+    """The pairwise hinge: score q of a pending token against q_next of the next one."""
+
     def test_nondecreasing_is_free(self):
-        assert mono_loss([0.1, 0.2, 0.2]) == 0.0
+        assert mono_term([0.1, 0.2, 0.2], [0.2, 0.2, 0.9]) == 0.0
 
     def test_hand_fixture(self):
-        assert mono_loss([0.5, 0.2]) == pytest.approx(0.3)
+        assert mono_term([0.5, 0.0], [0.2, 1.0], [True, False], lambda_mono=0.1) == pytest.approx(0.1 * 0.3)
 
     def test_single_element(self):
-        assert mono_loss([4.2]) == 0.0
+        # the last token of an utterance has no next token to compare with
+        assert mono_term([4.2, 0.0], [-1.0, 0.0], [False, False]) == 0.0
 
     def test_zero_iff_nondecreasing(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
-            q = rng.standard_normal(6)
-            assert (mono_loss(q) == 0.0) == bool(np.all(np.diff(q) >= 0))
+            q, q_next = rng.standard_normal(6), rng.standard_normal(6)
+            valid = rng.random(6) < 0.7
+            assert (mono_term(q, q_next, valid) == 0.0) == bool(np.all((q <= q_next)[valid]))
 
 
 class TestL2Loss:
@@ -153,7 +163,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(4)
         q = rng.standard_normal(8)
         labels = rng.standard_normal(8)
-        total, _ = total_loss(PolicyVariant.REINA, q, labels, weights)
+        total, _ = total_loss(q, labels, weights)
         assert total == pytest.approx(cov_loss(q, labels, weights.bn_epsilon), abs=1e-15)
 
     def test_zero_network_san_reduces_to_bce(self):
@@ -161,8 +171,7 @@ class TestTotalLoss:
         q = np.zeros(4)
         labels = np.array([1.0, 2.0, 0.5, 0.2])
         targets = np.array([0.5, 0.5, 0.5, 0.5])
-        total, breakdown = total_loss(PolicyVariant.REINA_SAN, q, labels, weights,
-                                      align_targets=targets)
+        total, breakdown = total_loss(q, labels, weights, align_targets=targets)
         assert breakdown["cov"] == 0.0 and breakdown["l2"] == 0.0
         assert total == pytest.approx(math.log(2.0), abs=1e-9)
 
@@ -171,7 +180,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(5)
         q = rng.standard_normal(12)
         total, bd = total_loss(
-            PolicyVariant.REINA_ALL, q, rng.standard_normal(12), weights,
+            q, rng.standard_normal(12), weights,
             q_next=rng.standard_normal(12), next_valid=rng.random(12) < 0.8,
             align_targets=rng.uniform(0, 1, 12), align_mask=rng.random(12) < 0.5)
         assert bd["cov"] + bd["mono"] + bd["l2"] + bd["align"] == pytest.approx(total, abs=1e-12)
@@ -180,28 +189,18 @@ class TestTotalLoss:
         weights = LossWeights()
         rng = np.random.default_rng(6)
         q = rng.standard_normal(6)
-        total, bd = total_loss(PolicyVariant.REINA_SAN, q, rng.standard_normal(6), weights,
+        total, bd = total_loss(q, rng.standard_normal(6), weights,
                                align_targets=np.full(6, 0.5), align_mask=np.zeros(6, dtype=bool))
         assert bd["align"] == 0.0
         assert bd["align_active"] == 0.0
-
-    def test_reina_ignores_alignment_arguments(self):
-        weights = LossWeights(lambda_align=5.0)
-        rng = np.random.default_rng(7)
-        q = rng.standard_normal(6)
-        labels = rng.standard_normal(6)
-        with_align, _ = total_loss(PolicyVariant.REINA, q, labels, weights,
-                                   align_targets=np.full(6, 0.9))
-        without, _ = total_loss(PolicyVariant.REINA, q, labels, weights)
-        assert with_align == without
 
     def test_mse_objective_regresses_onto_the_gain(self):
         # labels are partial-minus-full; a score equal to the gain is a perfect fit
         weights = LossWeights(lambda_mono=0.0, lambda_l2=0.0)
         labels = np.array([-2.0, -0.5, 0.0, -1.0])
-        total, bd = total_loss(PolicyVariant.REINA, -labels, labels, weights, objective="mse")
+        total, bd = total_loss(-labels, labels, weights, objective="mse")
         assert bd["cov"] == 0.0
-        worse, _ = total_loss(PolicyVariant.REINA, labels, labels, weights, objective="mse")
+        worse, _ = total_loss(labels, labels, weights, objective="mse")
         assert worse > 0.0
 
     def test_grad_matches_finite_differences_on_q(self):
@@ -215,22 +214,22 @@ class TestTotalLoss:
         valid = rng.random(n) < 0.7
         targets = rng.uniform(0.1, 0.9, n)
         mask = rng.random(n) < 0.6
-        for variant in PolicyVariant:
+        for align_targets in (None, targets):
             for objective in ("cov", "mse"):
-                kwargs = dict(q_next=q_next, next_valid=valid, align_targets=targets,
+                kwargs = dict(q_next=q_next, next_valid=valid, align_targets=align_targets,
                               align_mask=mask, objective=objective)
-                dq, dqn = total_loss_grad(variant, q, labels, weights, **kwargs)
+                dq, dqn = total_loss_grad(q, labels, weights, **kwargs)
                 h = 1e-6
                 for i in range(n):
                     qp, qm = q.copy(), q.copy()
                     qp[i] += h
                     qm[i] -= h
-                    hi, _ = total_loss(variant, qp, labels, weights, **kwargs)
-                    lo, _ = total_loss(variant, qm, labels, weights, **kwargs)
+                    hi, _ = total_loss(qp, labels, weights, **kwargs)
+                    lo, _ = total_loss(qm, labels, weights, **kwargs)
                     assert dq[i] == pytest.approx((hi - lo) / (2 * h), abs=1e-6)
                     np_, nm = q_next.copy(), q_next.copy()
                     np_[i] += h
                     nm[i] -= h
-                    hi, _ = total_loss(variant, q, labels, weights, **{**kwargs, "q_next": np_})
-                    lo, _ = total_loss(variant, q, labels, weights, **{**kwargs, "q_next": nm})
+                    hi, _ = total_loss(q, labels, weights, **{**kwargs, "q_next": np_})
+                    lo, _ = total_loss(q, labels, weights, **{**kwargs, "q_next": nm})
                     assert dqn[i] == pytest.approx((hi - lo) / (2 * h), abs=1e-6)

@@ -80,8 +80,13 @@ class TestTimeEmbedding:
 
 class TestConfig:
     def test_tan_requires_matching_embed_dim(self):
-        with pytest.raises(ConfigError, match="time_embed_dim"):
-            PolicyConfig(input_dim=16, use_time_embedding=True, time_embed_dim=8)
+        # the encoding is input_dim wide and added to the features before the first layer
+        tan = init_params(PolicyConfig(input_dim=DIM, hidden_dims=(8,), use_time_embedding=True, time_base=50.0), 4)
+        plain = PolicyParams(PolicyConfig(input_dim=DIM, hidden_dims=(8,)), tan.weights, tan.biases)
+        feats = np.random.default_rng(9).standard_normal((3, DIM))
+        times = np.array([0.0, 1.5, 9.0])
+        np.testing.assert_array_equal(forward_batch(tan, feats, times),
+                                      forward_batch(plain, feats + time_embedding(times, DIM, 50.0), times))
 
     def test_tan_requires_even_input(self):
         with pytest.raises(ConfigError, match="even"):
@@ -139,12 +144,6 @@ class TestForward:
     def test_dimension_mismatch(self, params):
         with pytest.raises(ShapeError):
             forward_batch(params, np.zeros((2, DIM + 1)), np.zeros(2))
-
-    def test_variant_mismatch_rejected(self):
-        config = PolicyConfig.for_variant(PolicyVariant.REINA, DIM)
-        p = init_params(config, 0)
-        with pytest.raises(ConfigError):
-            forward(p, np.zeros(DIM), 1.0, PolicyVariant.REINA_TAN)
 
     def test_seeded_batch_regression(self, params, variant):
         rng = np.random.default_rng(100)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulgain.errors import ConfigError
 from simulgain.metrics import ParetoPoint
@@ -45,7 +47,7 @@ class FixedScorePolicy:
         self.score = score
         self.alpha = alpha
 
-    def wants_read(self, utt, t_s, n, chunks_read, n_emitted):
+    def wants_read(self, utt, t_s, n, chunks_read):
         return self.score > self.alpha
 
 
@@ -99,12 +101,6 @@ class TestSimulate:
             for n, d in enumerate(log.delays_s):
                 boundary = oracle.write_boundary(utt, n, threshold)
                 assert boundary - 1e-9 <= d <= boundary + stream.chunk_s + 1e-9
-
-    def test_max_tokens_below_length_rejected(self, env):
-        cfg, oracle, dataset = env
-        config = StreamConfig(max_tokens=1)
-        with pytest.raises(ConfigError, match="max_tokens"):
-            simulate(oracle, dataset[0], FixedScorePolicy(0.0, math.inf), config)
 
     def test_short_source_is_all_forced(self, env):
         cfg, oracle, _ = env
@@ -230,3 +226,71 @@ class TestLogSerialization:
             EmissionLog(utt_id="bad", tokens=[1, 2], delays_s=[2.0, 1.0], duration_s=3.0)
         with pytest.raises(ValueError, match="delays"):
             EmissionLog(utt_id="bad", tokens=[1], delays_s=[4.0], duration_s=3.0)
+
+
+class RecordingPolicy:
+    """Forwards ``wants_read`` and records the arguments of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def wants_read(self, *args):
+        read = self.inner.wants_read(*args)
+        self.calls.append((*args, read))
+        return read
+
+
+@st.composite
+def stream_cases(draw):
+    """An oracle, an utterance, a chunk size, and a policy of one of the three kinds."""
+    cfg = SynthConfig(rng_seed=draw(st.integers(0, 2**31)), noise_std=draw(st.sampled_from([0.0, 0.3])))
+    oracle = OracleModel(cfg)
+    n_tok = draw(st.integers(1, 6))
+    boundaries = np.cumsum(draw(st.lists(st.floats(0.05, 1.5), min_size=n_tok, max_size=n_tok)))
+    utt = Utterance(id="prop", duration_s=float(boundaries[-1]) + draw(st.floats(0.0, 1.0)),
+                    target_tokens=draw(st.lists(st.integers(0, cfg.vocab_size - 1), min_size=n_tok, max_size=n_tok)),
+                    boundaries_s=boundaries,
+                    ambiguous_mask=draw(st.lists(st.booleans(), min_size=n_tok, max_size=n_tok)))
+    config = StreamConfig(chunk_ms=draw(st.floats(20.0, 2000.0)))
+    alpha = draw(st.one_of(st.floats(-1.0, 1.0), st.just(math.inf), st.just(-math.inf)))
+    kind = draw(st.sampled_from(["threshold", "gain", "wait_k"]))
+    if kind == "threshold":
+        variant = draw(st.sampled_from([PolicyVariant.REINA, PolicyVariant.REINA_TAN]))
+        params = init_params(PolicyConfig.for_variant(variant, cfg.feature_dim, hidden_dims=(8,)),
+                             draw(st.integers(0, 100)))
+        policy = ThresholdPolicy(oracle, params, alpha)
+    elif kind == "gain":
+        alpha = abs(alpha)
+        policy = GainThresholdPolicy(oracle, alpha)
+    else:
+        alpha = None
+        policy = WaitKPolicy(draw(st.integers(0, 40)))
+    return oracle, utt, config, policy, alpha
+
+
+class TestSimulatorProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=stream_cases())
+    def test_invariants(self, case):
+        oracle, utt, config, policy, alpha = case
+        recorder = RecordingPolicy(policy)
+        log = simulate(oracle, utt, recorder, config)
+        T = utt.duration_s
+        d = np.asarray(log.delays_s)
+        assert len(log.tokens) == utt.n_tokens and not log.truncated
+        assert np.all(np.diff(d) >= 0) and d[0] > 0 and d[-1] <= T
+        assert detect_read_loop(log) == (d[0] == T)
+        assert log.n_forced == int(np.sum(d == T))
+        if alpha == math.inf:
+            assert log.delays_s == [min(config.chunk_s, T)] * utt.n_tokens
+        # the protocol: (utterance, consumed time, pending token, chunks read), asked only while
+        # audio remains; a write emits the pending token at the consumed time
+        written = 0
+        for _, t_s, n, chunks_read, read in recorder.calls:
+            assert t_s == min(chunks_read * config.chunk_s, T) < T
+            assert n == written
+            if not read:
+                assert log.delays_s[n] == t_s
+                written += 1
+        assert written == utt.n_tokens - log.n_forced

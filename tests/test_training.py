@@ -188,6 +188,16 @@ class TestTrain:
             report = train(oracle, unaligned, pc, tc, LossWeights())
         assert all(r.loss_align == 0.0 for r in report.records)
 
+    def test_reina_ignores_alignment_arguments(self, env):
+        # lambda_align > 0 and aligned data: the variants without alignment supervision train no alignment term
+        cfg, oracle, dataset = env
+        assert all(u.aligned for u in dataset)
+        for variant in (PolicyVariant.REINA, PolicyVariant.REINA_TAN):
+            pc = policy_config(variant, cfg)
+            tc = TrainConfig(variant=variant, steps=10, batch_size=16, rng_seed=3)
+            report = train(oracle, dataset, pc, tc, LossWeights(lambda_align=5.0))
+            assert all(r.loss_align == 0.0 for r in report.records)
+
     def test_variant_config_mismatch_rejected(self, env):
         cfg, oracle, dataset = env
         pc = policy_config(PolicyVariant.REINA, cfg)
@@ -241,8 +251,8 @@ def reference_train(oracle, dataset, pc, tc, weights):
             targets = np.where(mask, align_target(batch.t_audio, star, weights.tau), 0.0)
         args = dict(q_next=scores_next, next_valid=batch.next_valid if use_mono else None,
                     align_targets=targets, align_mask=mask, objective=tc.objective)
-        _, bd = total_loss(tc.variant, scores, batch.labels, weights, **args)
-        dq, dq_next = total_loss_grad(tc.variant, scores, batch.labels, weights, **args)
+        _, bd = total_loss(scores, batch.labels, weights, **args)
+        dq, dq_next = total_loss_grad(scores, batch.labels, weights, **args)
         grads_w, grads_b = backward_from_cache(params, cache, dq)
         if dq_next is not None:
             extra_w, extra_b = backward_from_cache(params, cache_next, dq_next)
