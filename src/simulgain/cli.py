@@ -188,11 +188,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_alpha(position: int, item: str) -> float:
+    try:
+        return float(item)
+    except ValueError:
+        raise ConfigError(f"--alphas: item {position}, {item!r}, is not a number") from None
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     alphas = cfg.alphas
     if args.alphas is not None:
-        alphas = tuple(float(a) for a in args.alphas.split(","))
+        alphas = tuple(_parse_alpha(i, item) for i, item in enumerate(args.alphas.split(","), start=1))
     if not alphas:
         raise ConfigError("alphas: must be provided in the config or via --alphas")
     dataset, oracle, params, extra = _stream_inputs(cfg)

@@ -220,10 +220,17 @@ class _FlatHead:
 
     ``params`` views ``theta`` and ``grads`` views ``grad``, so the optimizer
     updates every layer at once and both backward passes of a step land in
-    one buffer.
+    one buffer.  The activations of both token views and the backward
+    temporaries live in workspaces sized by the first step and reused while
+    the row count stays the same.
+
+    ``times``, when given to a head with a time embedding, are every audio
+    time the steps will see; their embeddings are computed once, into a
+    table the steps gather rows from.  Without it each step computes the
+    embedding of its own times.
     """
 
-    def __init__(self, params: PolicyParams):
+    def __init__(self, params: PolicyParams, times: np.ndarray | None = None):
         config = params.config
         self.theta = params_to_vector(params)
         self.params = PolicyParams(config, *vector_views(config, self.theta))
@@ -233,7 +240,36 @@ class _FlatHead:
         self._next_grads = vector_views(config, self._next_grad)
         self._squares = np.zeros_like(self.theta)
         self._square_views = [a for part in vector_views(config, self._squares) for a in part]
-        self._activations = None
+        self._table_times = self._table = None
+        if config.use_time_embedding and times is not None:
+            self._table_times = np.unique(times)
+            self._table = time_embedding(self._table_times, config.input_dim, config.time_base)
+        self._rows = None
+
+    def embedding(self, t_audio, out=None) -> np.ndarray:
+        """``time_embedding(t_audio, ...)`` of the head, gathered from the table when it has one.
+
+        With a table, every entry of ``t_audio`` must be one of the times it was built from.
+        """
+        cfg = self.params.config
+        if self._table is None:
+            return time_embedding(t_audio, cfg.input_dim, cfg.time_base)
+        return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0, out=out)
+
+    def _workspace(self, rows: int) -> None:
+        if rows == self._rows:
+            return
+        cfg = self.params.config
+        embedded = cfg.use_time_embedding
+        width = cfg.input_dim
+
+        def activations():
+            return [np.empty((rows, width)) if embedded else None] + [np.empty((rows, h)) for h in cfg.hidden_dims]
+
+        self._embedding = np.empty((rows, width)) if embedded else None
+        self._activations = activations(), activations()
+        self._scratch = [(np.empty((rows, h)), np.empty((rows, h))) for h in cfg.hidden_dims]
+        self._rows = rows
 
     def loss_and_param_grad(self, weights: LossWeights, objective: str,
                             features, features_next, t_audio, labels, next_valid,
@@ -242,30 +278,28 @@ class _FlatHead:
 
         ``features_next`` is None when the monotonicity term is off, and
         ``align_targets`` when the variant has no alignment term.  The time
-        embedding, when the head uses one, is computed once and added to both
-        token views.
+        embedding, when the head uses one, is taken once per step, from the
+        table or computed, and added to both token views.
         """
         params = self.params
         cfg = params.config
-        embedding = time_embedding(t_audio, cfg.input_dim, cfg.time_base) if cfg.use_time_embedding else None
-        scores, cache = forward_with_cache(params, features, t_audio, embedding=embedding)
+        self._workspace(features.shape[0])
+        embedding = self.embedding(t_audio, out=self._embedding) if cfg.use_time_embedding else None
+        acts, acts_next = self._activations
+        scores, cache = forward_with_cache(params, features, t_audio, embedding=embedding, out=acts)
         scores_next = cache_next = None
         if features_next is not None:
-            scores_next, cache_next = forward_with_cache(params, features_next, t_audio, embedding=embedding)
+            scores_next, cache_next = forward_with_cache(params, features_next, t_audio, embedding=embedding,
+                                                         out=acts_next)
         _, breakdown, dq, dq_next = loss_and_grad(
             scores, labels, weights, q_next=scores_next, next_valid=next_valid,
             align_targets=align_targets, align_mask=align_mask, objective=objective)
         for term in ("cov", "mono", "l2", "align", "total"):
             if not math.isfinite(breakdown[term]):
                 raise NumericError(f"non-finite {term} loss")
-        # Hold the activations until the next step replaces them.  Freed here,
-        # their ~0.5 MiB at the top of the heap goes back to the OS and is
-        # faulted in again by the next step: about 200 page faults, ~15% of a
-        # step on a 2-vCPU VM with glibc malloc.
-        self._activations = (cache, cache_next)
-        backward_from_cache(params, cache, dq, out=self.grads)
+        backward_from_cache(params, cache, dq, out=self.grads, scratch=self._scratch)
         if dq_next is not None:
-            backward_from_cache(params, cache_next, dq_next, out=self._next_grads)
+            backward_from_cache(params, cache_next, dq_next, out=self._next_grads, scratch=self._scratch)
             self.grad += self._next_grad
         return breakdown
 
@@ -300,7 +334,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
-    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]))
+    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), times=index.flat_times)
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)

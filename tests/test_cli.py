@@ -183,6 +183,18 @@ class TestSweepAndReport:
                      "--out", str(tmp / "r2")]) == 4
 
 
+@pytest.mark.parametrize("alphas, item", [("0.1,abc", "item 2, 'abc',"), ("", "item 1, '',"),
+                                          ("0.1,,0.3", "item 2, '',")])
+def test_bad_alphas_flag_is_config_error(workspace, capsys, alphas, item):
+    tmp, cfg_path, _ = workspace
+    main(["gen", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--steps", "2"])
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path), "--alphas", alphas, "--out", str(tmp / "sweep")]) == 2
+    assert f"config error: --alphas: {item} is not a number" in capsys.readouterr().err
+    assert not (tmp / "sweep").exists()
+
+
 class TestSimulateCommand:
     def test_writes_logs(self, workspace):
         tmp, cfg_path, _ = workspace

@@ -12,6 +12,7 @@ from simulgain.policy import (
     forward_with_cache,
     init_params,
     params_to_vector,
+    time_embedding,
 )
 from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, Utterance, generate_dataset
 from simulgain.training import (
@@ -278,21 +279,26 @@ def reference_train(oracle, dataset, pc, tc, weights):
 class TestFusedStep:
     @pytest.fixture(scope="class")
     def noisy_env(self):
+        # the last utterance's 2.03 s is not a whole number of 50 ms frames,
+        # so its last frame time T is off the grid every other frame lies on
         cfg = SynthConfig(rng_seed=23, tokens_per_utt_range=(3, 6), noise_std=0.3, ambiguity_prob=0.3,
                           aligned_prob=0.7)
-        return OracleModel(cfg), generate_dataset(cfg, 7)
+        odd = Utterance("odd", 2.03, [4, 9, 2], [0.5, 1.4, 1.95], [False, True, False])
+        return OracleModel(cfg), generate_dataset(cfg, 7) + [odd]
 
-    @pytest.mark.parametrize("per_utterance", [None, 5])
+    @pytest.mark.parametrize("per_utterance", [None, 5, "exhaustive"])
     @pytest.mark.parametrize("lambda_mono", [0.0, 0.1])
     @pytest.mark.parametrize("objective", ["cov", "mse"])
     @pytest.mark.parametrize("variant", list(PolicyVariant))
     def test_train_matches_reference_byte_for_byte(self, noisy_env, variant, objective, lambda_mono,
                                                    per_utterance):
+        # "exhaustive" steps over the whole grid, a row count other than batch_size
         oracle, dataset = noisy_env
         pc = PolicyConfig.for_variant(variant, oracle.config.feature_dim, hidden_dims=(16, 12))
+        sampling = ({"t_grid": "exhaustive"} if per_utterance == "exhaustive"
+                    else {"samples_per_utterance": per_utterance})
         tc = TrainConfig(variant=variant, steps=30, batch_size=24, rng_seed=4, objective=objective,
-                         label_noise_std=0.2, samples_per_utterance=per_utterance, warmup_steps=10,
-                         weight_decay=1e-3)
+                         label_noise_std=0.2, warmup_steps=10, weight_decay=1e-3, **sampling)
         weights = LossWeights(lambda_mono=lambda_mono)
         report = train(oracle, dataset, pc, tc, weights)
         rows, theta = reference_train(oracle, dataset, pc, tc, weights)
@@ -300,6 +306,58 @@ class TestFusedStep:
                for r in report.records]
         assert repr(got) == repr(rows)
         assert params_to_vector(report.params).tobytes() == theta.tobytes()
+
+
+    def test_time_table_rows_equal_direct_embedding(self, noisy_env):
+        oracle, dataset = noisy_env
+        index = DatasetIndex(dataset, oracle)
+        pc = PolicyConfig.for_variant(PolicyVariant.REINA_TAN, oracle.config.feature_dim)
+        head = training._FlatHead(init_params(pc, 0), times=index.flat_times)
+        times = np.unique(index.flat_times)
+        assert 2.03 in times and times.shape[0] < index.flat_times.shape[0]
+        for t in times:
+            direct = time_embedding(np.array([t]), pc.input_dim, pc.time_base)
+            assert head.embedding(np.array([t])).tobytes() == direct.tobytes()
+        shuffled = np.random.default_rng(0).permutation(index.flat_times)
+        direct = time_embedding(shuffled, pc.input_dim, pc.time_base)
+        assert head.embedding(shuffled).tobytes() == direct.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(64, 64), (16, 12)])
+    @pytest.mark.parametrize("use_time", [False, True])
+    def test_buffered_passes_match_allocating_passes(self, hidden, use_time):
+        pc = PolicyConfig(input_dim=16, hidden_dims=hidden, use_time_embedding=use_time)
+        params = init_params(pc, 3)
+        rng = np.random.default_rng(7)
+        layer_shapes = [pc.input_dim if use_time else None, *hidden]
+        for rows in range(2, 301):
+            feats = rng.standard_normal((rows, 16))
+            times = rng.uniform(0.0, 20.0, rows)
+            upstream = rng.standard_normal(rows)
+            scores, cache = forward_with_cache(params, feats, times)
+            grads_w, grads_b = backward_from_cache(params, cache, upstream)
+            # stale buffers: every entry must be overwritten
+            acts = [None if w is None else np.full((rows, w), np.nan) for w in layer_shapes]
+            scratch = [(np.full((rows, h), np.nan), np.full((rows, h), np.nan)) for h in hidden]
+            b_scores, b_cache = forward_with_cache(params, feats, times, out=acts)
+            b_grads_w, b_grads_b = backward_from_cache(params, b_cache, upstream, scratch=scratch)
+            assert b_scores.tobytes() == scores.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, b_cache))
+            assert all(b is a for a, b in zip(acts[1:], b_cache[1:]))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(grads_w + grads_b, b_grads_w + b_grads_b))
+
+    def test_workspace_follows_row_count(self, noisy_env):
+        oracle, dataset = noisy_env
+        pc = PolicyConfig.for_variant(PolicyVariant.REINA_ALL, oracle.config.feature_dim, hidden_dims=(16, 12))
+        rng = np.random.default_rng(2)
+        reused = training._FlatHead(init_params(pc, 0))
+        for rows in (30, 7, 30, 2):
+            args = (LossWeights(lambda_mono=0.1), "cov", rng.standard_normal((rows, pc.input_dim)),
+                    rng.standard_normal((rows, pc.input_dim)), rng.uniform(0.0, 5.0, rows),
+                    rng.standard_normal(rows), rng.random(rows) < 0.8, rng.uniform(0.1, 0.9, rows),
+                    rng.random(rows) < 0.7)
+            fresh = training._FlatHead(init_params(pc, 0))
+            assert repr(reused.loss_and_param_grad(*args)) == repr(fresh.loss_and_param_grad(*args))
+            assert reused.grad.tobytes() == fresh.grad.tobytes()
 
 
 class TestGradCheck:
