@@ -224,13 +224,12 @@ class _FlatHead:
     temporaries live in workspaces sized by the first step and reused while
     the row count stays the same.
 
-    ``times``, when given to a head with a time embedding, are every audio
-    time the steps will see; their embeddings are computed once, into a
-    table the steps gather rows from.  Without it each step computes the
-    embedding of its own times.
+    ``times`` are every audio time the steps will see.  A head with a time
+    embedding computes their embeddings once, into a table the steps gather
+    rows from.
     """
 
-    def __init__(self, params: PolicyParams, times: np.ndarray | None = None):
+    def __init__(self, params: PolicyParams, times: np.ndarray):
         config = params.config
         self.theta = params_to_vector(params)
         self.params = PolicyParams(config, *vector_views(config, self.theta))
@@ -241,19 +240,16 @@ class _FlatHead:
         self._squares = np.zeros_like(self.theta)
         self._square_views = [a for part in vector_views(config, self._squares) for a in part]
         self._table_times = self._table = None
-        if config.use_time_embedding and times is not None:
+        if config.use_time_embedding:
             self._table_times = np.unique(times)
             self._table = time_embedding(self._table_times, config.input_dim, config.time_base)
         self._rows = None
 
     def embedding(self, t_audio, out=None) -> np.ndarray:
-        """``time_embedding(t_audio, ...)`` of the head, gathered from the table when it has one.
+        """``time_embedding(t_audio, ...)`` of the head, gathered from its table.
 
-        With a table, every entry of ``t_audio`` must be one of the times it was built from.
+        Every entry of ``t_audio`` must be one of the times the head was built with.
         """
-        cfg = self.params.config
-        if self._table is None:
-            return time_embedding(t_audio, cfg.input_dim, cfg.time_base)
         return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0, out=out)
 
     def _workspace(self, rows: int) -> None:
@@ -278,8 +274,8 @@ class _FlatHead:
 
         ``features_next`` is None when the monotonicity term is off, and
         ``align_targets`` when the variant has no alignment term.  The time
-        embedding, when the head uses one, is taken once per step, from the
-        table or computed, and added to both token views.
+        embedding, when the head uses one, is gathered once per step from
+        the table and added to both token views.
         """
         params = self.params
         cfg = params.config
@@ -334,7 +330,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
-    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), times=index.flat_times)
+    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), index.flat_times)
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)
@@ -416,7 +412,7 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
         feats_next = next_valid = None
     if not variant.uses_alignment_loss:
         targets = mask = None
-    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]))
+    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]), t_audio)
     head.loss_and_param_grad(loss_weights, objective, feats, feats_next, t_audio, labels,
                              next_valid, targets, mask)
     analytic = head.grad

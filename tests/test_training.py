@@ -312,7 +312,7 @@ class TestFusedStep:
         oracle, dataset = noisy_env
         index = DatasetIndex(dataset, oracle)
         pc = PolicyConfig.for_variant(PolicyVariant.REINA_TAN, oracle.config.feature_dim)
-        head = training._FlatHead(init_params(pc, 0), times=index.flat_times)
+        head = training._FlatHead(init_params(pc, 0), index.flat_times)
         times = np.unique(index.flat_times)
         assert 2.03 in times and times.shape[0] < index.flat_times.shape[0]
         for t in times:
@@ -349,13 +349,15 @@ class TestFusedStep:
         oracle, dataset = noisy_env
         pc = PolicyConfig.for_variant(PolicyVariant.REINA_ALL, oracle.config.feature_dim, hidden_dims=(16, 12))
         rng = np.random.default_rng(2)
-        reused = training._FlatHead(init_params(pc, 0))
-        for rows in (30, 7, 30, 2):
+        row_times = [rng.uniform(0.0, 5.0, rows) for rows in (30, 7, 30, 2)]
+        reused = training._FlatHead(init_params(pc, 0), np.concatenate(row_times))
+        for times in row_times:
+            rows = times.shape[0]
             args = (LossWeights(lambda_mono=0.1), "cov", rng.standard_normal((rows, pc.input_dim)),
-                    rng.standard_normal((rows, pc.input_dim)), rng.uniform(0.0, 5.0, rows),
+                    rng.standard_normal((rows, pc.input_dim)), times,
                     rng.standard_normal(rows), rng.random(rows) < 0.8, rng.uniform(0.1, 0.9, rows),
                     rng.random(rows) < 0.7)
-            fresh = training._FlatHead(init_params(pc, 0))
+            fresh = training._FlatHead(init_params(pc, 0), times)
             assert repr(reused.loss_and_param_grad(*args)) == repr(fresh.loss_and_param_grad(*args))
             assert reused.grad.tobytes() == fresh.grad.tobytes()
 
