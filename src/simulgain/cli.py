@@ -87,8 +87,8 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
     if path is not None:
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path}: {exc}") from exc
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: must hold a JSON object")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(_PATHS) | {"paths"}
@@ -101,7 +101,9 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
             if key not in _PATHS:
                 raise ConfigError(f"paths.{key}: unknown field")
         cfg = ExperimentConfig(**data, **paths)
-    except TypeError as exc:  # a value of the wrong JSON type
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, IndexError) as exc:  # a value of the wrong JSON type, shape or text
         raise ConfigError(f"config file {path}: {exc}") from None
     if seed is not None:
         cfg.synth = dataclasses.replace(cfg.synth, rng_seed=seed)
@@ -220,9 +222,7 @@ def cmd_sweep(args) -> int:
 
 
 def _offline_quality(oracle: OracleModel, dataset) -> float:
-    hyps = []
-    for utt in dataset:
-        hyps.append([oracle.greedy_token(utt, utt.duration_s, n) for n in range(utt.n_tokens)])
+    hyps = [oracle.greedy_tokens(utt, utt.duration_s, np.arange(utt.n_tokens)) for utt in dataset]
     return bleu(hyps, [list(u.target_tokens) for u in dataset])
 
 

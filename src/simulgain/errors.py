@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the line parser that raises them for input files."""
+"""Exception types shared across the package, and the input-file parsing helpers that raise them."""
 
 from pathlib import Path
 
@@ -26,11 +26,14 @@ class NumericError(RuntimeError):
 def parse_lines(path, parse, kind: str, first: int = 1) -> list:
     """``parse`` of every nonblank line of a text file, from line ``first`` on.
 
-    A line that does not parse raises ConfigError naming ``kind``, the file
-    and the line number.
+    A file that is not UTF-8 text, or a line that does not parse, raises
+    ConfigError naming ``kind``, the file and, for a line, its number.
     """
     records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{kind} {path}: not UTF-8 text ({exc})") from None
     for number, line in enumerate(lines[first - 1:], start=first):
         try:
             if line.strip():
@@ -38,3 +41,14 @@ def parse_lines(path, parse, kind: str, first: int = 1) -> list:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{kind} {path}, line {number}: {exc!r}") from None
     return records
+
+
+def token_ids(values, field: str) -> list:
+    """``values`` if it is a list of nonnegative JSON integers, else ValueError naming ``field``.
+
+    Token ids are written as integers; a parser that let ``3.5`` or ``-1``
+    through would truncate or wrap it silently.
+    """
+    if not isinstance(values, list) or not all(type(v) is int and v >= 0 for v in values):
+        raise ValueError(f"{field}: must be a list of nonnegative integers")
+    return values

@@ -157,12 +157,17 @@ def forward_batch(params: PolicyParams, features, t_audio) -> np.ndarray:
     return forward_with_cache(params, features, t_audio)[0]
 
 
-def forward(params: PolicyParams, features, t_audio: float) -> float:
-    """Score for a single state; positive-leaning scores favour reading more audio."""
+def forward(params: PolicyParams, features, t_audio: float, *, embedding: np.ndarray | None = None) -> float:
+    """Score for a single state; positive-leaning scores favour reading more audio.
+
+    ``embedding`` is the one-row ``time_embedding([t_audio], ...)`` computed
+    by the caller, so decisions at the same audio time can share it.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise ShapeError(f"expected a single feature vector, got shape {features.shape}")
-    scores = forward_batch(params, features[None, :], np.asarray([t_audio], dtype=np.float64))
+    scores, _ = forward_with_cache(params, features[None, :], np.asarray([t_audio], dtype=np.float64),
+                                   embedding=embedding)
     return float(scores[0])
 
 

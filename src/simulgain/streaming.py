@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, parse_lines
-from .policy import PolicyParams, forward
+from .errors import ConfigError, parse_lines, token_ids
+from .policy import PolicyParams, forward, time_embedding
 from .synth import OracleModel, Utterance
 
 _END_EPS = 1e-12
@@ -63,15 +63,27 @@ class EmissionLog:
 
 
 class ThresholdPolicy:
-    """Read while the learned score exceeds the threshold alpha."""
+    """Read while the learned score exceeds the threshold alpha.
+
+    A time-aware head embeds each distinct audio time once per policy
+    object; every later decision at that time reuses the embedding.
+    """
 
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
         self.oracle = oracle
         self.params = params
         self.alpha = alpha
+        self._clock: dict[float, np.ndarray] | None = {} if params.config.use_time_embedding else None
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
-        return forward(self.params, self.oracle.features(utt, t_s, n), t_s) > self.alpha
+        features = self.oracle.features(utt, t_s, n)
+        if self._clock is None:
+            return forward(self.params, features, t_s) > self.alpha
+        embedding = self._clock.get(t_s)
+        if embedding is None:
+            cfg = self.params.config
+            embedding = self._clock[t_s] = time_embedding(np.array([t_s]), cfg.input_dim, cfg.time_base)
+        return forward(self.params, features, t_s, embedding=embedding) > self.alpha
 
 
 class GainThresholdPolicy:
@@ -107,13 +119,13 @@ def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) 
     count of tokens written so far) at the consumed time ``t_s``.  The first
     decision happens after one chunk has been consumed, so every delay is
     strictly positive.  Audio never rewinds; several tokens may be emitted at
-    the same prefix.
+    the same prefix.  The loop records only the write times; the tokens are
+    decoded in one :meth:`OracleModel.greedy_tokens` call after it.
     """
     duration = utt.duration_s
     chunk = config.chunk_s
     chunks_read = 1
     t = min(chunk, duration)
-    tokens: list[int] = []
     delays: list[float] = []
     n = 0
     while n < utt.n_tokens and t < duration - _END_EPS:
@@ -121,13 +133,11 @@ def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) 
             chunks_read += 1
             t = min(chunks_read * chunk, duration)
         else:
-            tokens.append(oracle.greedy_token(utt, t, n))
             delays.append(t)
             n += 1
     n_forced = utt.n_tokens - n
-    for n in range(n, utt.n_tokens):
-        tokens.append(oracle.greedy_token(utt, duration, n))
-        delays.append(duration)
+    delays += [duration] * n_forced
+    tokens = oracle.greedy_tokens(utt, delays, np.arange(utt.n_tokens))
     return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
 
 
@@ -191,9 +201,12 @@ def emission_log_to_json(log: EmissionLog) -> str:
 
 def emission_log_from_json(line: str) -> EmissionLog:
     record = json.loads(line)
-    return EmissionLog(utt_id=record["utt_id"], tokens=record["tokens"],
+    tokens, n_forced = token_ids(record["tokens"], "tokens"), record["forced_tail"]
+    if type(n_forced) is not int or not 0 <= n_forced <= len(tokens):
+        raise ValueError("forced_tail: must be an integer from 0 to the number of tokens")
+    return EmissionLog(utt_id=record["utt_id"], tokens=tokens,
                        delays_s=record["delays_s"], duration_s=record["T"],
-                       n_forced=record["forced_tail"], truncated=record.get("truncated", False))
+                       n_forced=n_forced, truncated=record.get("truncated", False))
 
 
 def save_logs(logs, path) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, parse_lines
+from .errors import ConfigError, parse_lines, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -215,9 +215,29 @@ class OracleModel:
         out[int(utt.target_tokens[n])] = math.log(p)
         return out
 
+    def greedy_tokens(self, utt: Utterance, t_s, n) -> list[int]:
+        """Greedy decode of the pending tokens ``n`` of one utterance at times ``t_s``.
+
+        ``n`` is an array of token indices and ``t_s`` one time or one per
+        index.  Each token is ``argmax`` of :meth:`logprob`: the target if
+        ``log p`` beats the log of the residual mass ``(1 - p) / (vocab_size - 1)``
+        every other token gets, else the lowest id of a maximum, which is 0
+        on a tie or when the target is not 0, and 1 otherwise.  The logs are
+        taken with ``math.log``, as :meth:`logprob` takes them, because a
+        vectorized log may round differently and one ulp decides a tie.
+        """
+        n = np.asarray(n, dtype=np.int64)
+        others = self.config.vocab_size - 1
+        tokens = []
+        for p, target in zip(self._prob(utt, t_s, n).tolist(), utt.target_tokens[n].tolist()):
+            log_p, log_other = math.log(p), math.log((1.0 - p) / others)
+            tokens.append(target if log_p > log_other else int(target == 0 and log_p < log_other))
+        return tokens
+
     def greedy_token(self, utt: Utterance, t_s: float, n: int) -> int:
         """Greedy decode of the pending token; ties break toward the lowest id."""
-        return int(np.argmax(self.logprob(utt, t_s, n)))
+        self._check_state(utt, t_s, n)
+        return self.greedy_tokens(utt, [t_s], [n])[0]
 
     def true_info_gain(self, utt: Utterance, t_s: float, n: int) -> float:
         """Exact benefit (nats) of waiting for the full audio before emitting token n."""
@@ -361,7 +381,7 @@ def utterance_from_json(line: str) -> Utterance:
     return Utterance(
         id=record["id"],
         duration_s=record["duration_s"],
-        target_tokens=record["tokens"],
+        target_tokens=token_ids(record["tokens"], "tokens"),
         boundaries_s=record["boundaries_s"],
         ambiguous_mask=record["ambiguous"],
         aligned=record["aligned"],

@@ -65,6 +65,29 @@ class TestGen:
         assert main(["gen", "--config", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("gen", '{"count": "x"}', "invalid literal for int()"),
+        ("sweep", '{"alphas": ["abc"]}', "could not convert string to float: 'abc'"),
+        ("gen", '{"band": [1.0]}', "list index out of range"),
+    ])
+    def test_config_string_that_is_no_number_is_config_error(self, tmp_path, command, text, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main([command, "--config", str(bad)]) == 2
+        assert f"config error: config file {bad}: {message}" in capsys.readouterr().err
+
+    def test_config_section_error_keeps_its_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"synth": {"vocab_size": 1}}')
+        assert main(["gen", "--config", str(bad)]) == 2
+        assert "config error: vocab_size: must be >= 2" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_is_config_error(self, workspace, capsys):
+        tmp, cfg_path, _ = workspace
+        cfg_path.write_bytes(cfg_path.read_bytes() + b"\xff")
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        assert f"config error: config file {cfg_path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_checkpoint_matches_in_memory_training(self, workspace):
@@ -246,6 +269,13 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"dataset {data}, line 3:" in err
 
+    def test_dataset_not_utf8(self, trained, capsys):
+        tmp, cfg_path, config = trained
+        data = tmp / "data.jsonl"
+        data.write_bytes(data.read_bytes() + b"\xff")
+        assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+        assert f"config error: dataset {data}: not UTF-8 text" in capsys.readouterr().err
+
     def test_checkpoint_for_another_feature_dim(self, trained, capsys, tmp_path):
         tmp, cfg_path, config = trained
         config["synth"]["feature_dim"] = 8
@@ -301,6 +331,15 @@ class TestBadInputFiles:
         pareto.write_text("\n".join(lines) + "\n")
         assert self.report(cfg_path, sweep_dir) == 2
         assert f"pareto csv {pareto}, line 3: ValueError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pattern, kind", [("logs_*.jsonl", "emission logs"), ("pareto.csv", "pareto csv")])
+    def test_sweep_file_not_utf8(self, swept, capsys, pattern, kind):
+        cfg_path, sweep_dir = swept
+        for path in sweep_dir.glob(pattern):  # report reads one of the logs, the one nearest the band
+            path.write_bytes(path.read_bytes() + b"\xff")
+        assert self.report(cfg_path, sweep_dir) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {kind} {sweep_dir / pattern.split('*')[0]}" in err and ": not UTF-8 text" in err
 
     def test_malformed_sweep_meta(self, swept, capsys):
         cfg_path, sweep_dir = swept

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulgain import streaming
 from simulgain.errors import ConfigError
 from simulgain.metrics import ParetoPoint
-from simulgain.policy import PolicyConfig, PolicyVariant, init_params
+from simulgain.policy import PolicyConfig, PolicyVariant, forward, init_params
 from simulgain.streaming import (
     EmissionLog,
     GainThresholdPolicy,
@@ -22,6 +23,7 @@ from simulgain.streaming import (
     sweep,
 )
 from simulgain.synth import OracleModel, SynthConfig, Utterance, generate_dataset
+from simulgain.training import score_info_gain_grid
 
 
 @pytest.fixture(scope="module")
@@ -294,3 +296,95 @@ class TestSimulatorProperties:
                 assert log.delays_s[n] == t_s
                 written += 1
         assert written == utt.n_tokens - log.n_forced
+
+
+class UnclockedThresholdPolicy:
+    """``ThresholdPolicy`` without its clock: every decision embeds its time afresh."""
+
+    def __init__(self, oracle, params, alpha):
+        self.oracle, self.params, self.alpha = oracle, params, alpha
+
+    def wants_read(self, utt, t_s, n, chunks_read):
+        return forward(self.params, self.oracle.features(utt, t_s, n), t_s) > self.alpha
+
+
+def reference_simulate(oracle, utt, policy, config):
+    """The loop ``simulate`` replaced: each token is decoded as it is written."""
+    duration, chunk = utt.duration_s, config.chunk_s
+    chunks_read, t, n = 1, min(chunk, duration), 0
+    tokens, delays = [], []
+    while n < utt.n_tokens and t < duration - 1e-12:
+        if policy.wants_read(utt, t, n, chunks_read):
+            chunks_read += 1
+            t = min(chunks_read * chunk, duration)
+        else:
+            tokens.append(oracle.greedy_token(utt, t, n))
+            delays.append(t)
+            n += 1
+    n_forced = utt.n_tokens - n
+    for n in range(n, utt.n_tokens):
+        tokens.append(oracle.greedy_token(utt, duration, n))
+        delays.append(duration)
+    return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
+
+
+class TestDecodeAfterScan:
+    """``simulate`` decodes once after its scan and clocks time-aware heads, byte-equal to the per-token loop."""
+
+    @pytest.fixture(scope="class", params=[0.0, 0.3], ids=["clean", "noisy"])
+    def world(self, request):
+        # the target wins the decode only past its boundary (p > 0.25 = the residual), so a token
+        # decoded at the wrong time shows
+        cfg = SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4, rng_seed=23, noise_std=request.param,
+                          ambiguity_prob=0.3, tokens_per_utt_range=(2, 6))
+        dataset = generate_dataset(cfg, 8)
+        dataset.append(Utterance(id="off-grid", duration_s=2.03, target_tokens=[0, 3, 2, 0],
+                                 boundaries_s=[0.4, 1.1, 1.9, 2.02], ambiguous_mask=[False, True, False, False]))
+        return cfg, OracleModel(cfg), dataset
+
+    @staticmethod
+    def heads(cfg, oracle, dataset):
+        """(variant, params, alphas) per head, the alphas spanning its scores."""
+        for variant in (PolicyVariant.REINA, PolicyVariant.REINA_TAN, PolicyVariant.REINA_ALL):
+            params = init_params(PolicyConfig.for_variant(variant, cfg.feature_dim, hidden_dims=(16,)), 2)
+            scores, _ = score_info_gain_grid(oracle, params, dataset)
+            yield variant, params, [-math.inf, math.inf, *np.quantile(scores, [0.1, 0.3, 0.5, 0.7, 0.9])]
+
+    @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
+    def test_logs_equal_the_per_token_loop(self, world, chunk_ms):
+        cfg, oracle, dataset = world
+        config = StreamConfig(chunk_ms=chunk_ms)
+        pairs = [(lambda k=k: WaitKPolicy(k),) * 2 for k in (0, 2, 5)]
+        pairs += [(lambda g=g: GainThresholdPolicy(oracle, g),) * 2 for g in (0.0, 0.05, 0.5, -math.inf)]
+        for _, params, alphas in self.heads(cfg, oracle, dataset):
+            pairs += [(lambda p=params, a=a: ThresholdPolicy(oracle, p, a),
+                       lambda p=params, a=a: UnclockedThresholdPolicy(oracle, p, a)) for a in alphas]
+        for make, make_reference in pairs:
+            policy, reference = make(), make_reference()  # one policy object per utterance set, as in a sweep
+            for utt in dataset:
+                got = emission_log_to_json(simulate(oracle, utt, policy, config))
+                assert got == emission_log_to_json(reference_simulate(oracle, utt, reference, config)), utt.id
+
+    def test_clocked_score_equals_forward_without_embedding(self, world, monkeypatch):
+        cfg, oracle, dataset = world
+        calls = []
+
+        def checked_forward(params, features, t_audio, *, embedding=None):
+            clocked = forward(params, features, t_audio, embedding=embedding)
+            assert np.float64(clocked).tobytes() == np.float64(forward(params, features, t_audio)).tobytes()
+            calls.append((t_audio, embedding))
+            return clocked
+
+        monkeypatch.setattr(streaming, "forward", checked_forward)
+        for variant, params, alphas in self.heads(cfg, oracle, dataset):
+            for alpha in alphas:
+                calls.clear()
+                sweep(oracle, params, dataset, [alpha], StreamConfig(chunk_ms=130.0))
+                if not variant.uses_time_embedding:
+                    assert all(e is None for _, e in calls)
+                    continue
+                # one embedding per distinct time, shared by every decision at that time
+                assert calls and all(e is not None for _, e in calls)
+                clock = {t: id(e) for t, e in calls}
+                assert all(id(e) == clock[t] for t, e in calls)
+                assert len({id(e) for _, e in calls}) == len(clock)

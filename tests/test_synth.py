@@ -172,6 +172,65 @@ class TestLogprob:
             assert oracle.greedy_token(utt, t, n) == int(utt.target_tokens[n])
 
 
+def argmax_token(oracle, utt, t_s, n):
+    """The greedy decode as first written: argmax of the full log-probability vector."""
+    return int(np.argmax(oracle.logprob(utt, t_s, n)))
+
+
+@st.composite
+def decode_cases(draw):
+    """An oracle, an utterance and (time, token) states, ties included."""
+    if draw(st.booleans()):  # the tie config: at t = t*, p = 0.25 = (1 - p) / 3
+        cfg = SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4, noise_std=draw(st.sampled_from([0.0, 0.3])))
+    else:
+        p_min = draw(st.floats(1e-4, 0.5))
+        cfg = SynthConfig(vocab_size=draw(st.sampled_from([2, 3, 4, 50])), p_min=p_min,
+                          p_max=draw(st.floats(p_min + 1e-3, 0.999)), ramp_s=draw(st.floats(0.05, 1.0)),
+                          noise_std=draw(st.sampled_from([0.0, 0.3])), rng_seed=draw(st.integers(0, 2**31)))
+    n_tok = draw(st.integers(1, 6))
+    boundaries = np.cumsum(draw(st.lists(st.floats(0.05, 1.5), min_size=n_tok, max_size=n_tok)))
+    duration = float(boundaries[-1]) + draw(st.floats(0.0, 1.0))
+    token = st.one_of(st.just(0), st.integers(0, cfg.vocab_size - 1))
+    utt = make_utterance(boundaries, duration, tokens=draw(st.lists(token, min_size=n_tok, max_size=n_tok)))
+    time = st.one_of(st.floats(0.0, duration), st.sampled_from([float(b) for b in boundaries]), st.just(duration))
+    states = draw(st.lists(st.tuples(time, st.integers(0, n_tok - 1)), min_size=1, max_size=12))
+    return OracleModel(cfg), utt, [t for t, _ in states], [n for _, n in states]
+
+
+class TestGreedyTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(case=decode_cases())
+    def test_matches_argmax_of_logprob(self, case):
+        oracle, utt, times, tokens = case
+        want = [argmax_token(oracle, utt, t, n) for t, n in zip(times, tokens)]
+        assert oracle.greedy_tokens(utt, times, tokens) == want
+        assert [oracle.greedy_token(utt, t, n) for t, n in zip(times, tokens)] == want
+        every = np.arange(utt.n_tokens)
+        assert oracle.greedy_tokens(utt, utt.duration_s, every) == [
+            argmax_token(oracle, utt, utt.duration_s, n) for n in every]
+
+    @pytest.mark.parametrize("target", [0, 1, 3])
+    def test_exact_tie_decodes_token_zero(self, target):
+        oracle = OracleModel(SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4))
+        utt = make_utterance([1.0], 2.0, tokens=[target])
+        p = oracle.correct_token_prob(utt, 1.0, 0)
+        assert p == 0.25 and math.log(p) == math.log((1.0 - p) / 3)
+        assert oracle.greedy_tokens(utt, [1.0], [0]) == [0] == [argmax_token(oracle, utt, 1.0, 0)]
+
+    def test_losing_target_decodes_lowest_other_id(self):
+        oracle = OracleModel(SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4))
+        utt = make_utterance([1.0, 1.5], 2.0, tokens=[0, 2])
+        assert oracle.greedy_tokens(utt, [0.0, 0.0], [0, 1]) == [1, 0]
+        assert oracle.greedy_tokens(utt, [2.0, 2.0], [0, 1]) == [0, 2]
+
+    def test_greedy_token_checks_its_state(self, oracle, dataset):
+        utt = dataset[0]
+        with pytest.raises(IndexError):
+            oracle.greedy_token(utt, 1.0, utt.n_tokens)
+        with pytest.raises(ValueError):
+            oracle.greedy_token(utt, utt.duration_s + 1.0, 0)
+
+
 class TestInfoGain:
     def test_zero_at_full_audio(self, oracle, dataset):
         for utt in dataset[:3]:
