@@ -124,13 +124,25 @@ def _synth_record(synth: SynthConfig) -> dict:
     return json.loads(json.dumps(dataclasses.asdict(synth)))
 
 
+def _load_dataset(cfg: ExperimentConfig):
+    """The dataset, with every token id checked against the oracle's vocabulary."""
+    dataset = load_dataset(cfg.dataset)
+    vocab = cfg.synth.vocab_size
+    for utt in dataset:
+        top = int(utt.target_tokens.max())
+        if top >= vocab:
+            raise ConfigError(f"dataset {cfg.dataset}: utterance {utt.id}: token id {top} "
+                              f"is not below synth.vocab_size {vocab}")
+    return dataset
+
+
 def _stream_inputs(cfg: ExperimentConfig):
     """Dataset, oracle, policy and checkpoint extras.
 
     The checkpoint must have been trained against the oracle ``cfg.synth``
     builds: the same feature width and the same recorded synth config.
     """
-    dataset = load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     params, extra = load_params(cfg.checkpoint)
     if params.config.input_dim != cfg.synth.feature_dim:
         raise ConfigError(f"checkpoint {cfg.checkpoint}: input_dim {params.config.input_dim} does not match "
@@ -162,7 +174,7 @@ def cmd_train(args) -> int:
         cfg.train = dataclasses.replace(cfg.train, steps=args.steps)
     if args.objective is not None:
         cfg.train = dataclasses.replace(cfg.train, objective=args.objective)
-    dataset = load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     variant = cfg.train.variant
     pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim, hidden_dims=cfg.hidden_dims,
                                      time_base=cfg.time_base)
@@ -230,7 +242,7 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     if cfg.band is None:
         raise ConfigError("band: required for report (set \"band\": [x, y] in the config)")
-    dataset = load_dataset(cfg.dataset)
+    dataset = _load_dataset(cfg)
     oracle = OracleModel(cfg.synth)
     offline = _offline_quality(oracle, dataset)
     out = _out_dir(cfg)

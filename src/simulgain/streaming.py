@@ -9,7 +9,10 @@ what defines a read loop: nothing was emitted before the source ran out.
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,25 +68,53 @@ class EmissionLog:
 class ThresholdPolicy:
     """Read while the learned score exceeds the threshold alpha.
 
-    A time-aware head embeds each distinct audio time once per policy
-    object; every later decision at that time reuses the embedding.
+    Each state ``(utt, t_s, n)`` is scored once per policy object: the score
+    is kept in a table with one row of per-token scores for each audio time
+    of each utterance, and a later decision at that state looks it up.  A
+    miss runs the one-row path, ``oracle.features`` and ``forward``; a
+    time-aware head embeds each distinct audio time once.  The params are
+    copied when the policy is built, so training them further in place
+    cannot mix stale and fresh scores.  :meth:`with_alpha` gives a policy at
+    another threshold that shares the copy and the table.
     """
 
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
         self.oracle = oracle
-        self.params = params
+        self.params = params.copy()
         self.alpha = alpha
         self._clock: dict[float, np.ndarray] | None = {} if params.config.use_time_embedding else None
+        # id(utt) -> (utt, {t_s: scores by token, NaN until scored}); holding the
+        # utterance keeps its id from being reused while the table lives
+        self._scores: dict[int, tuple[Utterance, dict[float, array]]] = {}
+
+    def with_alpha(self, alpha: float) -> ThresholdPolicy:
+        """This policy at threshold ``alpha``, sharing its params copy and score table."""
+        other = copy.copy(self)
+        other.alpha = alpha
+        return other
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
+        entry = self._scores.get(id(utt))
+        if entry is None:
+            entry = self._scores[id(utt)] = (utt, {})
+        rows = entry[1]
+        row = rows.get(t_s)
+        if row is None:
+            row = rows[t_s] = array("d", [math.nan]) * utt.n_tokens
+        score = row[n]
+        if score != score:  # not scored yet
+            score = row[n] = self._score(utt, t_s, n)
+        return score > self.alpha
+
+    def _score(self, utt: Utterance, t_s: float, n: int) -> float:
         features = self.oracle.features(utt, t_s, n)
         if self._clock is None:
-            return forward(self.params, features, t_s) > self.alpha
+            return forward(self.params, features, t_s)
         embedding = self._clock.get(t_s)
         if embedding is None:
             cfg = self.params.config
             embedding = self._clock[t_s] = time_embedding(np.array([t_s]), cfg.input_dim, cfg.time_base)
-        return forward(self.params, features, t_s, embedding=embedding) > self.alpha
+        return forward(self.params, features, t_s, embedding=embedding)
 
 
 class GainThresholdPolicy:
@@ -153,8 +184,10 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     """Simulate the whole dataset at each threshold; one operating point per alpha.
 
     ``policy_factory(alpha)`` overrides the default threshold policy, which
-    lets reference policies reuse the same harness.  Output order follows the
-    input alphas.
+    lets reference policies reuse the same harness.  The default policies of
+    all alphas share one score table (:meth:`ThresholdPolicy.with_alpha`),
+    so each state is scored once per sweep.  Output order follows the input
+    alphas.
     """
     from .metrics import ParetoPoint, bleu, laal, read_loop_pct  # deferred: metrics consumes logs
 
@@ -164,7 +197,7 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     if policy_factory is None:
         if params is None:
             raise ConfigError("params: required unless a policy_factory is given")
-        policy_factory = lambda alpha: ThresholdPolicy(oracle, params, alpha)
+        policy_factory = ThresholdPolicy(oracle, params, alphas[0]).with_alpha
     refs = [list(u.target_tokens) for u in dataset]
     points = []
     logs_by_alpha: dict[float, list[EmissionLog]] = {}

@@ -341,6 +341,22 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"config error: {kind} {sweep_dir / pattern.split('*')[0]}" in err and ": not UTF-8 text" in err
 
+    @pytest.mark.parametrize("command", ["train", "simulate", "sweep", "report"])
+    @pytest.mark.parametrize("token", [50, 60])
+    def test_token_outside_the_vocabulary(self, swept, capsys, command, token):
+        cfg_path, sweep_dir = swept
+        data = sweep_dir.parent / "data.jsonl"
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        records[1]["tokens"][-1] = token  # the synth config's vocab_size is the default 50
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        argv = {"train": ["--steps", "2"], "simulate": ["--out", str(sweep_dir.parent / "sim")],
+                "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
+                "report": ["--sweeps", str(sweep_dir), "--out", str(sweep_dir.parent / "report")]}[command]
+        assert main([command, "--config", str(cfg_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert (f"config error: dataset {data}: utterance {records[1]['id']}: token id {token} "
+                "is not below synth.vocab_size 50") in err
+
     def test_malformed_sweep_meta(self, swept, capsys):
         cfg_path, sweep_dir = swept
         (sweep_dir / "meta.json").write_text("{")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -388,3 +389,96 @@ class TestDecodeAfterScan:
                 clock = {t: id(e) for t, e in calls}
                 assert all(id(e) == clock[t] for t, e in calls)
                 assert len({id(e) for _, e in calls}) == len(clock)
+
+    @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
+    def test_sweep_scores_each_state_once(self, world, chunk_ms, monkeypatch):
+        cfg, oracle, dataset = world
+        config = StreamConfig(chunk_ms=chunk_ms)
+        for variant, params, alphas in self.heads(cfg, oracle, dataset):
+            want, asked = {}, []
+            for alpha in alphas:
+                reference = RecordingPolicy(UnclockedThresholdPolicy(oracle, params, alpha))
+                want[alpha] = [emission_log_to_json(simulate(oracle, u, reference, config)) for u in dataset]
+                asked += [(utt.id, t_s, n) for utt, t_s, n, _, _ in reference.calls]
+            scored = []
+
+            def counting_forward(*args, **kwargs):
+                scored.append(args[2])
+                return forward(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(streaming, "forward", counting_forward)
+                _, logs = sweep(oracle, params, dataset, alphas, config, collect_logs=True)
+            for alpha in alphas:
+                assert [emission_log_to_json(log) for log in logs[float(alpha)]] == want[alpha], variant
+            # every alpha of the sweep shares one table: a state asked again is not scored again
+            assert len(scored) == len(set(asked)) < len(asked), variant
+
+    def test_table_keys_on_the_utterance_and_its_time(self, world):
+        # one policy streams two utterances of one id and both chunk sizes; each log must be
+        # what a fresh policy gives
+        cfg, oracle, dataset = world
+        twins = [dataclasses.replace(u, target_tokens=(u.target_tokens + 1) % cfg.vocab_size,
+                                     boundaries_s=u.boundaries_s * 0.5) for u in dataset]
+        for _, params, alphas in self.heads(cfg, oracle, dataset):
+            for alpha in alphas[2:]:
+                policy = ThresholdPolicy(oracle, params, alpha)
+                for config in (StreamConfig(chunk_ms=130.0), StreamConfig(chunk_ms=250.0)):
+                    for utt in (*dataset, *twins):
+                        fresh = ThresholdPolicy(oracle, params, alpha)
+                        assert (emission_log_to_json(simulate(oracle, utt, policy, config))
+                                == emission_log_to_json(simulate(oracle, utt, fresh, config))), utt.id
+
+
+class TestParamsSnapshot:
+    """A threshold policy scores with the params as they were when it was built."""
+
+    @staticmethod
+    def perturb(params):
+        # in place, as the optimizer updates the views of its flat vector
+        params.weights[-1] *= -1.0
+        params.biases[-1] += 0.5
+
+    @pytest.fixture
+    def trained(self, env):
+        from simulgain.losses import LossWeights
+        from simulgain.training import TrainConfig, train
+
+        cfg, oracle, dataset = env
+        variant = PolicyVariant.REINA_TAN
+        report = train(oracle, dataset, PolicyConfig.for_variant(variant, cfg.feature_dim, hidden_dims=(16,)),
+                       TrainConfig(variant=variant, steps=20, batch_size=32, rng_seed=4), LossWeights())
+        scores, _ = score_info_gain_grid(oracle, report.params, dataset)
+        return oracle, dataset, report.params, [float(a) for a in np.quantile(scores, [0.2, 0.5, 0.8])]
+
+    def test_policy_keeps_its_decisions(self, trained, stream):
+        oracle, dataset, params, alphas = trained
+        pristine = params.copy()
+        policies = [ThresholdPolicy(oracle, params, a) for a in alphas]
+        self.perturb(params)
+        changed = False
+        for alpha, policy in zip(alphas, policies):
+            for utt in dataset:
+                got = emission_log_to_json(simulate(oracle, utt, policy, stream))
+                assert got == emission_log_to_json(simulate(oracle, utt, ThresholdPolicy(oracle, pristine, alpha),
+                                                             stream)), utt.id
+                changed |= got != emission_log_to_json(
+                    simulate(oracle, utt, ThresholdPolicy(oracle, params, alpha), stream))
+        assert changed  # the update moves decisions, so a policy that followed it would show
+
+    def test_sweep_in_progress_keeps_its_decisions(self, trained, stream, monkeypatch):
+        oracle, dataset, params, alphas = trained
+        want = sweep(oracle, params.copy(), dataset, alphas, stream, collect_logs=True)
+        calls = []
+
+        def simulate_then_update(*args):
+            log = simulate(*args)
+            calls.append(log)
+            if len(calls) == len(dataset):  # the first alpha is done
+                self.perturb(params)
+            return log
+
+        monkeypatch.setattr(streaming, "simulate", simulate_then_update)
+        got = sweep(oracle, params, dataset, alphas, stream, collect_logs=True)
+        assert len(calls) == len(dataset) * len(alphas)
+        assert got == want
