@@ -28,11 +28,13 @@ class LossWeights:
     bn_epsilon: float = 1e-5
 
     def __post_init__(self):
-        if self.lambda_mono < 0 or self.lambda_l2 < 0 or self.lambda_align < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.tau <= 0:
+        # written as `not x >= 0` so that NaN fails too
+        for name in ("lambda_mono", "lambda_l2", "lambda_align"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name}: must be >= 0")
+        if not self.tau > 0:
             raise ConfigError("tau: must be > 0")
-        if self.bn_epsilon <= 0:
+        if not self.bn_epsilon > 0:
             raise ConfigError("bn_epsilon: must be > 0")
 
 

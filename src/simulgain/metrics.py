@@ -16,6 +16,7 @@ Normative definitions used throughout this package:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,10 @@ class ParetoPoint:
     read_loop_pct: float
 
     def __post_init__(self):
+        if self.alpha != self.alpha:
+            raise MetricError("alpha is NaN")
+        if not (math.isfinite(self.mean_laal_s) and math.isfinite(self.quality)):
+            raise MetricError(f"mean LAAL {self.mean_laal_s} and quality {self.quality} must be finite")
         if not 0 <= self.read_loop_pct <= 100:
             raise MetricError(f"read_loop_pct {self.read_loop_pct} outside [0, 100]")
 

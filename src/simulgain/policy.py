@@ -53,7 +53,7 @@ class PolicyConfig:
             raise ConfigError("input_dim: must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: all widths must be >= 1")
-        if self.time_base <= 1:
+        if not self.time_base > 1:  # NaN fails too
             raise ConfigError("time_base: must be > 1")
         if self.use_time_embedding and self.input_dim % 2:
             raise ConfigError("input_dim: must be even when the time embedding is enabled")
@@ -142,9 +142,8 @@ def forward_with_cache(params: PolicyParams, features, t_audio, *, embedding: np
     activations = [x]
     h = x
     for k, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1]), start=1):
-        # `@` and tanh's positional `out` keep the one-row forward that
-        # streaming runs per decision as cheap as before; the keyword forms
-        # cost it about 0.4 us a call
+        # `@` and tanh's positional `out` keep small forwards, such as a
+        # streaming row, cheap; the keyword forms cost about 0.4 us a call
         h = h @ w if out is None else np.matmul(h, w, out=out[k])
         h += b
         h = np.tanh(h, h)
@@ -157,17 +156,12 @@ def forward_batch(params: PolicyParams, features, t_audio) -> np.ndarray:
     return forward_with_cache(params, features, t_audio)[0]
 
 
-def forward(params: PolicyParams, features, t_audio: float, *, embedding: np.ndarray | None = None) -> float:
-    """Score for a single state; positive-leaning scores favour reading more audio.
-
-    ``embedding`` is the one-row ``time_embedding([t_audio], ...)`` computed
-    by the caller, so decisions at the same audio time can share it.
-    """
+def forward(params: PolicyParams, features, t_audio: float) -> float:
+    """Score for a single state; positive-leaning scores favour reading more audio."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise ShapeError(f"expected a single feature vector, got shape {features.shape}")
-    scores, _ = forward_with_cache(params, features[None, :], np.asarray([t_audio], dtype=np.float64),
-                                   embedding=embedding)
+    scores, _ = forward_with_cache(params, features[None, :], np.asarray([t_audio], dtype=np.float64))
     return float(scores[0])
 
 

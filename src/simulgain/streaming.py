@@ -12,17 +12,22 @@ from __future__ import annotations
 import copy
 import json
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, parse_lines, token_ids
-from .policy import PolicyParams, forward, time_embedding
+from .policy import PolicyParams, forward_batch
+from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
 
 _END_EPS = 1e-12
+
+
+def _check_alpha(alpha: float) -> None:
+    if alpha != alpha:
+        raise ConfigError("alpha: must be a number or +-inf, not NaN")
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,9 @@ class StreamConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.chunk_ms <= 0:
+        if not self.chunk_ms > 0:  # NaN fails too
             raise ConfigError("chunk_ms: must be > 0")
+        _check_alpha(self.alpha)
 
     @property
     def chunk_s(self) -> float:
@@ -58,6 +64,8 @@ class EmissionLog:
         if len(self.tokens) != len(self.delays_s):
             raise ValueError(f"log {self.utt_id}: tokens and delays disagree on length")
         d = np.asarray(self.delays_s, dtype=np.float64)
+        if not (math.isfinite(self.duration_s) and np.isfinite(d).all()):
+            raise ValueError(f"log {self.utt_id}: duration_s and delays must be finite")
         if d.size:
             if np.any(np.diff(d) < 0):
                 raise ValueError(f"log {self.utt_id}: delays must be nondecreasing")
@@ -68,27 +76,27 @@ class EmissionLog:
 class ThresholdPolicy:
     """Read while the learned score exceeds the threshold alpha.
 
-    Each state ``(utt, t_s, n)`` is scored once per policy object: the score
-    is kept in a table with one row of per-token scores for each audio time
-    of each utterance, and a later decision at that state looks it up.  A
-    miss runs the one-row path, ``oracle.features`` and ``forward``; a
-    time-aware head embeds each distinct audio time once.  The params are
-    copied when the policy is built, so training them further in place
-    cannot mix stale and fresh scores.  :meth:`with_alpha` gives a policy at
-    another threshold that shares the copy and the table.
+    A decision at ``(utt, t_s, n)`` looks its score up in a table with one
+    row of per-token scores for each audio time of each utterance.  A miss
+    fills the whole row with one ``features_many`` and ``forward_batch``
+    call, as a backbone decodes a prefix once for every pending token.  The
+    params are copied when the policy is built, so training them further in
+    place cannot mix stale and fresh scores.  :meth:`with_alpha` gives a
+    policy at another threshold that shares the copy and the table.
     """
 
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
+        _check_alpha(alpha)
         self.oracle = oracle
         self.params = params.copy()
         self.alpha = alpha
-        self._clock: dict[float, np.ndarray] | None = {} if params.config.use_time_embedding else None
-        # id(utt) -> (utt, {t_s: scores by token, NaN until scored}); holding the
-        # utterance keeps its id from being reused while the table lives
-        self._scores: dict[int, tuple[Utterance, dict[float, array]]] = {}
+        # id(utt) -> (utt, {t_s: scores by token}); holding the utterance keeps
+        # its id from being reused while the table lives
+        self._scores: dict[int, tuple[Utterance, dict[float, list[float]]]] = {}
 
     def with_alpha(self, alpha: float) -> ThresholdPolicy:
         """This policy at threshold ``alpha``, sharing its params copy and score table."""
+        _check_alpha(alpha)
         other = copy.copy(self)
         other.alpha = alpha
         return other
@@ -100,28 +108,17 @@ class ThresholdPolicy:
         rows = entry[1]
         row = rows.get(t_s)
         if row is None:
-            row = rows[t_s] = array("d", [math.nan]) * utt.n_tokens
-        score = row[n]
-        if score != score:  # not scored yet
-            score = row[n] = self._score(utt, t_s, n)
-        return score > self.alpha
-
-    def _score(self, utt: Utterance, t_s: float, n: int) -> float:
-        features = self.oracle.features(utt, t_s, n)
-        if self._clock is None:
-            return forward(self.params, features, t_s)
-        embedding = self._clock.get(t_s)
-        if embedding is None:
-            cfg = self.params.config
-            embedding = self._clock[t_s] = time_embedding(np.array([t_s]), cfg.input_dim, cfg.time_base)
-        return forward(self.params, features, t_s, embedding=embedding)
+            t = np.full(utt.n_tokens, t_s)
+            features = self.oracle.features_many(utt, t, np.arange(utt.n_tokens))
+            row = rows[t_s] = forward_batch(self.params, features, t).tolist()
+        return row[n] > self.alpha
 
 
 class GainThresholdPolicy:
     """Perfectly calibrated reference policy: read while the exact gain exceeds the threshold."""
 
     def __init__(self, oracle: OracleModel, gain_threshold: float):
-        if gain_threshold < 0 and not np.isneginf(gain_threshold):
+        if not (gain_threshold >= 0 or gain_threshold == -math.inf):  # NaN fails too
             raise ConfigError("gain_threshold: must be >= 0 (or -inf for always-write)")
         self.oracle = oracle
         self.gain_threshold = gain_threshold
@@ -186,8 +183,8 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     ``policy_factory(alpha)`` overrides the default threshold policy, which
     lets reference policies reuse the same harness.  The default policies of
     all alphas share one score table (:meth:`ThresholdPolicy.with_alpha`),
-    so each state is scored once per sweep.  Output order follows the input
-    alphas.
+    so each token row is filled once per sweep.  Output order follows the
+    input alphas.
     """
     from .metrics import ParetoPoint, bleu, laal, read_loop_pct  # deferred: metrics consumes logs
 

@@ -152,6 +152,8 @@ class Utterance:
             raise ValueError(f"utterance {self.id}: needs at least one token")
         if self.boundaries_s.shape[0] != n or self.ambiguous_mask.shape[0] != n:
             raise ValueError(f"utterance {self.id}: per-token arrays disagree on length")
+        if not (math.isfinite(self.duration_s) and np.isfinite(self.boundaries_s).all()):
+            raise ValueError(f"utterance {self.id}: duration_s and boundaries must be finite")
         if np.any(np.diff(self.boundaries_s) <= 0):
             raise ValueError(f"utterance {self.id}: boundaries must be strictly increasing")
         if self.boundaries_s[0] <= 0 or self.boundaries_s[-1] > self.duration_s:
@@ -283,7 +285,7 @@ class OracleModel:
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
         """Earliest grid time at which waiting is worth at most ``gain_threshold``."""
-        if gain_threshold < 0:
+        if not gain_threshold >= 0:  # NaN fails too
             raise ConfigError("gain_threshold: must be >= 0")
         self._check_state(utt, 0.0, n)
         grid = self.frame_grid(utt)

@@ -58,12 +58,23 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", PolicyVariant(self.variant))
         object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
+        for name in ("batch_size", "steps", "warmup_steps", "samples_per_utterance"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name}: must be an integer")
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (label normalization needs a batch)")
         if self.steps < 1:
             raise ConfigError("steps: must be >= 1")
-        if self.lr < 0:
+        # written as `not x >= 0` so that NaN fails too
+        if not self.lr >= 0:
             raise ConfigError("lr: must be >= 0")
+        if not all(0 <= b < 1 for b in self.adam_betas):
+            raise ConfigError("adam_betas: each must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps: must be > 0")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay: must be >= 0")
         if self.t_grid not in ("uniform", "exhaustive"):
             raise ConfigError(f"t_grid: unknown sampling rule {self.t_grid!r}")
         if self.objective not in ("cov", "mse"):
@@ -74,7 +85,7 @@ class TrainConfig:
             raise ConfigError("samples_per_utterance: must be >= 1 when set")
         if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
             raise ConfigError("rng_seed: must be a nonnegative integer")
-        if self.label_noise_std < 0:
+        if not self.label_noise_std >= 0:
             raise ConfigError("label_noise_std: must be >= 0")
 
 

@@ -218,6 +218,42 @@ def test_bad_alphas_flag_is_config_error(workspace, capsys, alphas, item):
     assert not (tmp / "sweep").exists()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, setting, field", [
+    ("sweep", ["--alphas", "nan"], "alpha"),
+    ("sweep", ["--alphas", "0.0,nan"], "alpha"),
+    ("sweep", {"alphas": [0.0, NAN]}, "alpha"),
+    ("simulate", ["--alpha", "nan"], "alpha"),
+    ("simulate", {"stream": {"alpha": NAN}}, "alpha"),
+    ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
+    *[("train", {"loss": {name: NAN}}, name)
+      for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau", "bn_epsilon")],
+    *[("train", {"train": {name: NAN}}, name)
+      for name in ("lr", "adam_eps", "weight_decay", "label_noise_std", "batch_size", "steps", "warmup_steps",
+                   "samples_per_utterance")],
+    ("train", {"train": {"adam_betas": [0.9, NAN]}}, "adam_betas"),
+    ("train", {"time_base": NAN}, "time_base"),
+])
+def test_nan_setting_is_config_error(workspace, capsys, command, setting, field):
+    tmp, cfg_path, config = workspace
+    main(["gen", "--config", str(cfg_path)])
+    if command != "train":
+        main(["train", "--config", str(cfg_path), "--steps", "2"])
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp / "nan")]
+    if isinstance(setting, list):
+        argv += setting
+    else:
+        for key, value in setting.items():
+            config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+        cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+    assert not (tmp / "nan").exists()
+
+
 class TestSimulateCommand:
     def test_writes_logs(self, workspace):
         tmp, cfg_path, _ = workspace

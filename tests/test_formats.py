@@ -8,6 +8,7 @@ original" cannot be asked of a text format without a checksum.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,3 +178,33 @@ def test_every_structural_byte_change(folder, name):
                 blob[i] = byte
                 check_corrupted(name, path, blob)
 
+
+
+# (format, text of an EXAMPLES file, its replacement): a NaN or infinite number where the format
+# needs a finite one.  An infinite alpha is a valid pareto row (always write), and a checkpoint's
+# weights may take any float64 value.
+NON_FINITE = [
+    *[(name, old, new.format(v)) for v in ("NaN", "Infinity") for name, old, new in [
+        ("dataset", '"duration_s":2.05', '"duration_s":{}'),
+        ("dataset", '[0.5,1.25,', '[0.5,{},'),
+        ("emission_logs", '"T":2.05', '"T":{}'),
+        ("emission_logs", '[0.25,0.5,', '[0.25,{},'),
+        ("emission_logs", '"T":1.5', '"T":{}'),
+    ]],
+    *[("pareto_csv", "-0.5,1.25,33.5,0.0", row) for row in (
+        "nan,1.25,33.5,0.0", "-0.5,nan,33.5,0.0", "-0.5,inf,33.5,0.0", "-0.5,1.25,nan,0.0", "-0.5,1.25,inf,0.0",
+        "-0.5,1.25,33.5,nan", "-0.5,1.25,33.5,inf")],
+    ("checkpoint", '"time_base":100.0', '"time_base":NaN'),
+]
+
+
+@pytest.mark.parametrize("name, old, new", NON_FINITE)
+def test_non_finite_number_is_config_error(folder, name, old, new):
+    _, save, load, _ = FORMATS[name]
+    path = folder / f"{name}.nonfinite"
+    save(EXAMPLES[name], path)
+    blob = path.read_bytes()
+    assert blob.count(old.encode()) == 1
+    path.write_bytes(blob.replace(old.encode(), new.encode()))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load(path)

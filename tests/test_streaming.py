@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from simulgain import streaming
 from simulgain.errors import ConfigError
 from simulgain.metrics import ParetoPoint
-from simulgain.policy import PolicyConfig, PolicyVariant, forward, init_params
+from simulgain.policy import PolicyConfig, PolicyVariant, forward, forward_batch, init_params
 from simulgain.streaming import (
     EmissionLog,
     GainThresholdPolicy,
@@ -135,6 +135,31 @@ class TestWaitK:
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):
             WaitKPolicy(-1)
+
+
+class TestThresholds:
+    """NaN compares false both ways, so a NaN threshold would act as a silent always-write."""
+
+    def test_nan_threshold_rejected(self, env):
+        cfg, oracle, _ = env
+        params = init_params(PolicyConfig(input_dim=cfg.feature_dim, hidden_dims=(4,)))
+        for build in (lambda: ThresholdPolicy(oracle, params, math.nan),
+                      lambda: ThresholdPolicy(oracle, params, 0.0).with_alpha(math.nan),
+                      lambda: GainThresholdPolicy(oracle, math.nan),
+                      lambda: StreamConfig(alpha=math.nan)):
+            with pytest.raises(ConfigError, match="NaN|gain_threshold"):
+                build()
+
+    def test_infinite_thresholds_accepted(self, env):
+        cfg, oracle, _ = env
+        params = init_params(PolicyConfig(input_dim=cfg.feature_dim, hidden_dims=(4,)))
+        for alpha in (-math.inf, math.inf):
+            ThresholdPolicy(oracle, params, 0.0).with_alpha(alpha)
+            StreamConfig(alpha=alpha)
+        GainThresholdPolicy(oracle, -math.inf)
+        GainThresholdPolicy(oracle, math.inf)
+        with pytest.raises(ConfigError, match="gain_threshold"):
+            GainThresholdPolicy(oracle, -1.0)
 
 
 class TestReadLoop:
@@ -299,14 +324,19 @@ class TestSimulatorProperties:
         assert written == utt.n_tokens - log.n_forced
 
 
-class UnclockedThresholdPolicy:
-    """``ThresholdPolicy`` without its clock: every decision embeds its time afresh."""
+class RowThresholdPolicy:
+    """``ThresholdPolicy`` without its table: every decision scores the token row at its time afresh."""
 
     def __init__(self, oracle, params, alpha):
         self.oracle, self.params, self.alpha = oracle, params, alpha
 
     def wants_read(self, utt, t_s, n, chunks_read):
-        return forward(self.params, self.oracle.features(utt, t_s, n), t_s) > self.alpha
+        return row_scores(self.oracle, self.params, utt, t_s)[n] > self.alpha
+
+
+def row_scores(oracle, params, utt, t_s):
+    t = np.full(utt.n_tokens, t_s)
+    return forward_batch(params, oracle.features_many(utt, t, np.arange(utt.n_tokens)), t)
 
 
 def reference_simulate(oracle, utt, policy, config):
@@ -330,7 +360,7 @@ def reference_simulate(oracle, utt, policy, config):
 
 
 class TestDecodeAfterScan:
-    """``simulate`` decodes once after its scan and clocks time-aware heads, byte-equal to the per-token loop."""
+    """``simulate`` decodes once after its scan and scores a token row per time, byte-equal to the per-token loop."""
 
     @pytest.fixture(scope="class", params=[0.0, 0.3], ids=["clean", "noisy"])
     def world(self, request):
@@ -359,36 +389,27 @@ class TestDecodeAfterScan:
         pairs += [(lambda g=g: GainThresholdPolicy(oracle, g),) * 2 for g in (0.0, 0.05, 0.5, -math.inf)]
         for _, params, alphas in self.heads(cfg, oracle, dataset):
             pairs += [(lambda p=params, a=a: ThresholdPolicy(oracle, p, a),
-                       lambda p=params, a=a: UnclockedThresholdPolicy(oracle, p, a)) for a in alphas]
+                       lambda p=params, a=a: RowThresholdPolicy(oracle, p, a)) for a in alphas]
         for make, make_reference in pairs:
             policy, reference = make(), make_reference()  # one policy object per utterance set, as in a sweep
             for utt in dataset:
                 got = emission_log_to_json(simulate(oracle, utt, policy, config))
                 assert got == emission_log_to_json(reference_simulate(oracle, utt, reference, config)), utt.id
 
-    def test_clocked_score_equals_forward_without_embedding(self, world, monkeypatch):
+    def test_row_score_equals_one_row_forward(self, world):
+        # a decision flips only where |score - alpha| is within this gap: the row and one-row
+        # passes sum the same products in another order
         cfg, oracle, dataset = world
-        calls = []
-
-        def checked_forward(params, features, t_audio, *, embedding=None):
-            clocked = forward(params, features, t_audio, embedding=embedding)
-            assert np.float64(clocked).tobytes() == np.float64(forward(params, features, t_audio)).tobytes()
-            calls.append((t_audio, embedding))
-            return clocked
-
-        monkeypatch.setattr(streaming, "forward", checked_forward)
-        for variant, params, alphas in self.heads(cfg, oracle, dataset):
-            for alpha in alphas:
-                calls.clear()
-                sweep(oracle, params, dataset, [alpha], StreamConfig(chunk_ms=130.0))
-                if not variant.uses_time_embedding:
-                    assert all(e is None for _, e in calls)
-                    continue
-                # one embedding per distinct time, shared by every decision at that time
-                assert calls and all(e is not None for _, e in calls)
-                clock = {t: id(e) for t, e in calls}
-                assert all(id(e) == clock[t] for t, e in calls)
-                assert len({id(e) for _, e in calls}) == len(clock)
+        for _, params, _ in self.heads(cfg, oracle, dataset):
+            for utt in dataset:
+                times = {*oracle.frame_grid(utt)}
+                for chunk_s in (0.13, 0.25):
+                    chunks = range(1, math.ceil(utt.duration_s / chunk_s) + 1)
+                    times |= {min(k * chunk_s, utt.duration_s) for k in chunks}
+                for t_s in times:
+                    row = row_scores(oracle, params, utt, t_s)
+                    one = [forward(params, oracle.features(utt, t_s, n), t_s) for n in range(utt.n_tokens)]
+                    np.testing.assert_allclose(row, one, rtol=0, atol=1e-12, err_msg=f"{utt.id} t={t_s}")
 
     @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
     def test_sweep_scores_each_state_once(self, world, chunk_ms, monkeypatch):
@@ -397,22 +418,23 @@ class TestDecodeAfterScan:
         for variant, params, alphas in self.heads(cfg, oracle, dataset):
             want, asked = {}, []
             for alpha in alphas:
-                reference = RecordingPolicy(UnclockedThresholdPolicy(oracle, params, alpha))
+                reference = RecordingPolicy(RowThresholdPolicy(oracle, params, alpha))
                 want[alpha] = [emission_log_to_json(simulate(oracle, u, reference, config)) for u in dataset]
                 asked += [(utt.id, t_s, n) for utt, t_s, n, _, _ in reference.calls]
-            scored = []
+            filled = []
 
-            def counting_forward(*args, **kwargs):
-                scored.append(args[2])
-                return forward(*args, **kwargs)
+            def counting_forward_batch(params, features, t_audio):
+                filled.append(t_audio)
+                return forward_batch(params, features, t_audio)
 
             with monkeypatch.context() as patch:
-                patch.setattr(streaming, "forward", counting_forward)
+                patch.setattr(streaming, "forward_batch", counting_forward_batch)
                 _, logs = sweep(oracle, params, dataset, alphas, config, collect_logs=True)
             for alpha in alphas:
                 assert [emission_log_to_json(log) for log in logs[float(alpha)]] == want[alpha], variant
-            # every alpha of the sweep shares one table: a state asked again is not scored again
-            assert len(scored) == len(set(asked)) < len(asked), variant
+            # every alpha of the sweep shares one table: a time asked again fills no row again
+            rows = {(utt_id, t_s) for utt_id, t_s, _ in asked}
+            assert len(filled) == len(rows) < len(set(asked)), variant
 
     def test_table_keys_on_the_utterance_and_its_time(self, world):
         # one policy streams two utterances of one id and both chunk sizes; each log must be

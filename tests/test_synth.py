@@ -327,8 +327,9 @@ class TestWriteBoundary:
                 assert oracle.write_boundary(utt, n, threshold) == float(grid[lo])
 
     def test_negative_threshold_rejected(self, oracle, dataset):
-        with pytest.raises(ConfigError):
-            oracle.write_boundary(dataset[0], 0, -0.1)
+        for threshold in (-0.1, math.nan):
+            with pytest.raises(ConfigError):
+                oracle.write_boundary(dataset[0], 0, threshold)
 
 
 class TestSerialization:
