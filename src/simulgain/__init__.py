@@ -29,7 +29,6 @@ from .policy import (
     PolicyConfig,
     PolicyParams,
     PolicyVariant,
-    backward,
     forward,
     forward_batch,
     init_params,

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, NumericError
+from .errors import ConfigError, MetricError, NumericError, integer_setting
 from .losses import LossWeights
 from .metrics import (
     LatencyBand,
@@ -75,11 +75,11 @@ class ExperimentConfig:
                 setattr(self, f.name, section(**value))
         self.hidden_dims = tuple(self.hidden_dims)
         self.time_base = float(self.time_base)
-        self.count = int(self.count)
+        self.count = integer_setting(self.count, "count")
         self.alphas = tuple(float(a) for a in self.alphas)
         if self.band is not None:
             self.band = LatencyBand(float(self.band[0]), float(self.band[1]))
-        self.report_bins = int(self.report_bins)
+        self.report_bins = integer_setting(self.report_bins, "report_bins")
 
 
 def load_config(path: str | None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the input-file parsing helpers that raise them."""
 
+import numbers
 from pathlib import Path
 
 
@@ -52,3 +53,13 @@ def token_ids(values, field: str) -> list:
     if not isinstance(values, list) or not all(type(v) is int and v >= 0 for v in values):
         raise ValueError(f"{field}: must be a list of nonnegative integers")
     return values
+
+
+def integer_setting(value, field: str) -> int:
+    """``value`` as an int if it is an integer, else ConfigError naming ``field``.
+
+    A setting written as ``16.5`` or ``true`` is refused, not truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field}: must be an integer")
+    return int(value)

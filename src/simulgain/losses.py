@@ -25,7 +25,6 @@ class LossWeights:
     lambda_l2: float = 0.01
     lambda_align: float = 1.0
     tau: float = 0.5
-    bn_epsilon: float = 1e-5
 
     def __post_init__(self):
         # written as `not x >= 0` so that NaN fails too
@@ -34,8 +33,6 @@ class LossWeights:
                 raise ConfigError(f"{name}: must be >= 0")
         if not self.tau > 0:
             raise ConfigError("tau: must be > 0")
-        if not self.bn_epsilon > 0:
-            raise ConfigError("bn_epsilon: must be > 0")
 
 
 def _as_1d(name: str, values) -> np.ndarray:
@@ -162,7 +159,7 @@ def loss_and_grad(q, labels, weights: LossWeights, *,
         raise ShapeError(f"q has length {q.shape[0]} but labels has length {labels.shape[0]}")
     batch = q.shape[0]
     if objective == "cov":
-        normalized = batch_normalize(labels, weights.bn_epsilon)
+        normalized = batch_normalize(labels)
         fit = float(np.mean(q * normalized))
         dq = normalized / batch
     else:

@@ -118,15 +118,16 @@ def bleu(hyps, refs) -> float:
 
 
 def pareto_envelope(points) -> tuple[np.ndarray, np.ndarray]:
-    """Latency-sorted frontier knots after dropping dominated operating points."""
-    pairs = sorted({(float(p.mean_laal_s), float(p.quality)) for p in points})
+    """Latency-sorted frontier knots after dropping dominated operating points.
+
+    The distinct (LAAL, quality) pairs are scanned by LAAL ascending, ties by
+    quality descending; a pair is kept when its quality beats every quality
+    before it, since only a pair before it can dominate it.
+    """
+    pairs = sorted({(float(p.mean_laal_s), float(p.quality)) for p in points}, key=lambda pq: (pq[0], -pq[1]))
     kept = []
     for lat, qual in pairs:
-        dominated = any(
-            other_lat <= lat and other_q >= qual and (other_lat < lat or other_q > qual)
-            for other_lat, other_q in pairs
-        )
-        if not dominated:
+        if not kept or qual > kept[-1][1]:
             kept.append((lat, qual))
     xs = np.array([k[0] for k in kept])
     ys = np.array([k[1] for k in kept])

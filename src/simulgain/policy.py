@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, integer_setting
 
 
 class PolicyVariant(str, Enum):
@@ -48,7 +48,8 @@ class PolicyConfig:
     time_base: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
+        object.__setattr__(self, "input_dim", integer_setting(self.input_dim, "input_dim"))
+        object.__setattr__(self, "hidden_dims", tuple(integer_setting(h, "hidden_dims") for h in self.hidden_dims))
         if self.input_dim < 1:
             raise ConfigError("input_dim: must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
@@ -192,12 +193,6 @@ def backward_from_cache(params: PolicyParams, activations, upstream,
             np.subtract(1.0, slope, out=slope)
             delta = np.multiply(back, slope, out=back)
     return grads_w, grads_b
-
-
-def backward(params: PolicyParams, features, t_audio, upstream) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the batched forward pass contracted with ``upstream``."""
-    _, cache = forward_with_cache(params, features, t_audio)
-    return backward_from_cache(params, cache, upstream)
 
 
 # -- flat parameter views (optimizer-agnostic helpers) -----------------------

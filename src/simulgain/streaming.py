@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, parse_lines, token_ids
+from .errors import ConfigError, integer_setting, parse_lines, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
@@ -131,9 +131,9 @@ class WaitKPolicy:
     """Read k chunks up front, then alternate one write with one read."""
 
     def __init__(self, k: int):
-        if k < 0:
+        self.k = integer_setting(k, "k")
+        if self.k < 0:
             raise ConfigError("k: must be >= 0")
-        self.k = k
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
         return n > chunks_read - self.k

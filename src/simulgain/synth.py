@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, parse_lines, token_ids
+from .errors import ConfigError, integer_setting, parse_lines, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -84,7 +84,10 @@ class SynthConfig:
     aligned_prob: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens_per_utt_range", tuple(int(v) for v in self.tokens_per_utt_range))
+        for name in ("vocab_size", "feature_dim", "rng_seed"):
+            object.__setattr__(self, name, integer_setting(getattr(self, name), name))
+        object.__setattr__(self, "tokens_per_utt_range",
+                           tuple(integer_setting(v, "tokens_per_utt_range") for v in self.tokens_per_utt_range))
         _require(self.vocab_size >= 2, "vocab_size", "must be >= 2")
         _require(self.frame_ms > 0, "frame_ms", "must be > 0")
         lo, hi = self.tokens_per_utt_range
@@ -98,7 +101,7 @@ class SynthConfig:
         _require(0 <= self.ambiguity_prob <= 1, "ambiguity_prob", "must lie in [0, 1]")
         _require(self.feature_dim >= 3, "feature_dim", "must be >= 3 (token embedding needs feature_dim - 2 dims)")
         _require(self.noise_std >= 0, "noise_std", "must be >= 0")
-        _require(isinstance(self.rng_seed, int) and self.rng_seed >= 0, "rng_seed", "must be a nonnegative integer")
+        _require(self.rng_seed >= 0, "rng_seed", "must be >= 0")
         _require(0 <= self.aligned_prob <= 1, "aligned_prob", "must lie in [0, 1]")
 
     @property
@@ -317,13 +320,6 @@ class DatasetIndex:
         self.flat_ambiguous = np.concatenate([u.ambiguous_mask for u in self.utterances])
         self.aligned = np.array([u.aligned for u in self.utterances], dtype=bool)
         self.utt_keys = np.array([u.key for u in self.utterances], dtype=_U64)
-
-    def full_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(utterance, token, frame) of every grid state, utterance-major then frame-major."""
-        sizes = self.n_frames * self.n_tokens
-        u = np.repeat(np.arange(len(self.utterances), dtype=np.int64), sizes)
-        row = np.arange(sizes.sum(), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return u, row % self.n_tokens[u], row // self.n_tokens[u]
 
     def states(self, u, n, j):
         """Flat token rows, times, probabilities and evidence of states (u, n, j)."""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, integer_setting
 from .losses import LossWeights, align_target, loss_and_grad, total_loss
 from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .policy import (
@@ -49,8 +49,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     weight_decay: float = 1e-4
     warmup_steps: int = 100
-    samples_per_utterance: int | None = None
-    t_grid: str = "uniform"
     rng_seed: int = 0
     objective: str = "cov"
     label_noise_std: float = 0.0
@@ -58,10 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", PolicyVariant(self.variant))
         object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
-        for name in ("batch_size", "steps", "warmup_steps", "samples_per_utterance"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name}: must be an integer")
+        for name in ("batch_size", "steps", "warmup_steps", "rng_seed"):
+            integer_setting(getattr(self, name), name)
         if self.batch_size < 2:
             raise ConfigError("batch_size: must be >= 2 (label normalization needs a batch)")
         if self.steps < 1:
@@ -75,16 +71,12 @@ class TrainConfig:
             raise ConfigError("adam_eps: must be > 0")
         if not self.weight_decay >= 0:
             raise ConfigError("weight_decay: must be >= 0")
-        if self.t_grid not in ("uniform", "exhaustive"):
-            raise ConfigError(f"t_grid: unknown sampling rule {self.t_grid!r}")
         if self.objective not in ("cov", "mse"):
             raise ConfigError(f"objective: unknown value {self.objective!r}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps: must be >= 0")
-        if self.samples_per_utterance is not None and self.samples_per_utterance < 1:
-            raise ConfigError("samples_per_utterance: must be >= 1 when set")
-        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
-            raise ConfigError("rng_seed: must be a nonnegative integer")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed: must be >= 0")
         if not self.label_noise_std >= 0:
             raise ConfigError("label_noise_std: must be >= 0")
 
@@ -130,12 +122,7 @@ class LabeledBatch:
 
 def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
                  index: DatasetIndex | None = None) -> LabeledBatch:
-    """Draw a labeled batch of states.
-
-    ``t_grid="uniform"`` picks utterance, frame, and token uniformly; with
-    ``samples_per_utterance`` set, every utterance contributes that many
-    draws.  ``t_grid="exhaustive"`` enumerates the full (frame, token) grid
-    of every utterance and ignores ``batch_size``.
+    """Draw ``batch_size`` labeled states, each a uniform utterance, token and frame.
 
     ``label_noise_std`` adds seeded Gaussian noise to the truncated-audio
     log-likelihood label of each draw, standing in for the measurement noise
@@ -143,21 +130,15 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
     labels are perturbed, and the full-audio label keeps its clean value.
     """
     idx = index if index is not None else DatasetIndex(dataset, oracle)
-    if config.t_grid == "exhaustive":
-        u, n, j = idx.full_grid()
-    else:
-        if config.samples_per_utterance is not None:
-            u = np.repeat(np.arange(len(idx.utterances), dtype=np.int64), config.samples_per_utterance)
-        else:
-            u = rng.integers(0, len(idx.utterances), config.batch_size)
-        n = (rng.random(u.shape[0]) * idx.n_tokens[u]).astype(np.int64)
-        j = (rng.random(u.shape[0]) * idx.n_frames[u]).astype(np.int64)
+    b = config.batch_size
+    u = rng.integers(0, len(idx.utterances), b)
+    n = (rng.random(b) * idx.n_tokens[u]).astype(np.int64)
+    j = (rng.random(b) * idx.n_frames[u]).astype(np.int64)
 
     # One oracle call for three views of each draw: rows [0, b) hold the
     # pending token n at frame j, rows [b, 2b) the adjacent token at the same
     # frame, for the monotonicity hinge, and rows [2b, 3b) token n at the
     # last frame, the full audio.
-    b = u.shape[0]
     next_valid = (n + 1) < idx.n_tokens[u]
     u3 = np.concatenate([u, u, u])
     n3 = np.concatenate([n, np.minimum(n + 1, idx.n_tokens[u] - 1), n])
@@ -167,22 +148,16 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
         label_partial = label_partial + config.label_noise_std * rng.standard_normal(b)
 
     views = slice(0, 2 * b)
-    parts = (idx.flat_tokens[flat[views]], evidence[views], n3[views] / idx.n_tokens[u3[views]])
-    if b > 1:
-        mixed = oracle.mix_features(*parts)
-        features, features_next = mixed[:b], mixed[b:]
-    else:  # BLAS takes another path for a one-row product; keep each view's own
-        features, features_next = (oracle.mix_features(*(p[i:i + 1] for p in parts)) for i in (0, 1))
-
+    mixed = oracle.mix_features(idx.flat_tokens[flat[views]], evidence[views], n3[views] / idx.n_tokens[u3[views]])
     return LabeledBatch(
-        features=features,
+        features=mixed[:b],
         t_audio=t3[:b],
         token_index=n,
         label_partial_logp=label_partial,
         label_full_logp=np.log(prob[2 * b:]),
         t_star=np.where(idx.aligned[u], idx.flat_boundaries[flat[:b]], np.nan),
         aligned=idx.aligned[u].copy(),
-        features_next=features_next,
+        features_next=mixed[b:],
         next_valid=next_valid,
     )
 
@@ -232,15 +207,15 @@ class _FlatHead:
     ``params`` views ``theta`` and ``grads`` views ``grad``, so the optimizer
     updates every layer at once and both backward passes of a step land in
     one buffer.  The activations of both token views and the backward
-    temporaries live in workspaces sized by the first step and reused while
-    the row count stays the same.
+    temporaries live in workspaces allocated once for ``rows``, the row
+    count of every step.
 
     ``times`` are every audio time the steps will see.  A head with a time
     embedding computes their embeddings once, into a table the steps gather
     rows from.
     """
 
-    def __init__(self, params: PolicyParams, times: np.ndarray):
+    def __init__(self, params: PolicyParams, times: np.ndarray, rows: int):
         config = params.config
         self.theta = params_to_vector(params)
         self.params = PolicyParams(config, *vector_views(config, self.theta))
@@ -250,11 +225,18 @@ class _FlatHead:
         self._next_grads = vector_views(config, self._next_grad)
         self._squares = np.zeros_like(self.theta)
         self._square_views = [a for part in vector_views(config, self._squares) for a in part]
-        self._table_times = self._table = None
+        self._table_times = self._table = self._embedding = None
         if config.use_time_embedding:
             self._table_times = np.unique(times)
             self._table = time_embedding(self._table_times, config.input_dim, config.time_base)
-        self._rows = None
+            self._embedding = np.empty((rows, config.input_dim))
+
+        def activations():
+            net_input = None if self._embedding is None else np.empty_like(self._embedding)
+            return [net_input] + [np.empty((rows, h)) for h in config.hidden_dims]
+
+        self._activations = activations(), activations()
+        self._scratch = [(np.empty((rows, h)), np.empty((rows, h))) for h in config.hidden_dims]
 
     def embedding(self, t_audio, out=None) -> np.ndarray:
         """``time_embedding(t_audio, ...)`` of the head, gathered from its table.
@@ -262,21 +244,6 @@ class _FlatHead:
         Every entry of ``t_audio`` must be one of the times the head was built with.
         """
         return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0, out=out)
-
-    def _workspace(self, rows: int) -> None:
-        if rows == self._rows:
-            return
-        cfg = self.params.config
-        embedded = cfg.use_time_embedding
-        width = cfg.input_dim
-
-        def activations():
-            return [np.empty((rows, width)) if embedded else None] + [np.empty((rows, h)) for h in cfg.hidden_dims]
-
-        self._embedding = np.empty((rows, width)) if embedded else None
-        self._activations = activations(), activations()
-        self._scratch = [(np.empty((rows, h)), np.empty((rows, h))) for h in cfg.hidden_dims]
-        self._rows = rows
 
     def loss_and_param_grad(self, weights: LossWeights, objective: str,
                             features, features_next, t_audio, labels, next_valid,
@@ -290,7 +257,6 @@ class _FlatHead:
         """
         params = self.params
         cfg = params.config
-        self._workspace(features.shape[0])
         embedding = self.embedding(t_audio, out=self._embedding) if cfg.use_time_embedding else None
         acts, acts_next = self._activations
         scores, cache = forward_with_cache(params, features, t_audio, embedding=embedding, out=acts)
@@ -341,7 +307,8 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
-    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), index.flat_times)
+    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), index.flat_times,
+                     train_config.batch_size)
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)
@@ -423,7 +390,7 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
         feats_next = next_valid = None
     if not variant.uses_alignment_loss:
         targets = mask = None
-    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]), t_audio)
+    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]), t_audio, batch)
     head.loss_and_param_grad(loss_weights, objective, feats, feats_next, t_audio, labels,
                              next_valid, targets, mask)
     analytic = head.grad

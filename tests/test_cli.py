@@ -66,7 +66,6 @@ class TestGen:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, message", [
-        ("gen", '{"count": "x"}', "invalid literal for int()"),
         ("sweep", '{"alphas": ["abc"]}', "could not convert string to float: 'abc'"),
         ("gen", '{"band": [1.0]}', "list index out of range"),
     ])
@@ -228,11 +227,11 @@ NAN = float("nan")
     ("simulate", ["--alpha", "nan"], "alpha"),
     ("simulate", {"stream": {"alpha": NAN}}, "alpha"),
     ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
-    *[("train", {"loss": {name: NAN}}, name)
-      for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau", "bn_epsilon")],
+    *[("train", {"loss": {name: NAN}}, name) for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau")],
+    ("train", {"loss": {"bn_epsilon": NAN}}, "loss.bn_epsilon"),  # no longer a field
     *[("train", {"train": {name: NAN}}, name)
-      for name in ("lr", "adam_eps", "weight_decay", "label_noise_std", "batch_size", "steps", "warmup_steps",
-                   "samples_per_utterance")],
+      for name in ("lr", "adam_eps", "weight_decay", "label_noise_std", "batch_size", "steps", "warmup_steps")],
+    ("train", {"train": {"samples_per_utterance": NAN}}, "train.samples_per_utterance"),  # no longer a field
     ("train", {"train": {"adam_betas": [0.9, NAN]}}, "adam_betas"),
     ("train", {"time_base": NAN}, "time_base"),
 ])
@@ -252,6 +251,50 @@ def test_nan_setting_is_config_error(workspace, capsys, command, setting, field)
     assert main(argv) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp / "nan").exists()
+
+
+@pytest.mark.parametrize("command, setting, field", [
+    ("train", {"synth": {"feature_dim": 16.5}}, "feature_dim"),
+    ("gen", {"synth": {"vocab_size": 50.5}}, "vocab_size"),
+    ("gen", {"count": 10.7}, "count"),
+    ("gen", {"count": "x"}, "count"),
+    ("gen", {"synth": {"tokens_per_utt_range": [3.9, 5]}}, "tokens_per_utt_range"),
+    ("train", {"hidden_dims": [8.9]}, "hidden_dims"),
+    ("train", {"train": {"steps": True}}, "steps"),
+    ("train", {"train": {"rng_seed": True}}, "rng_seed"),
+    ("gen", {"synth": {"rng_seed": 1.5}}, "rng_seed"),
+    ("report", {"report_bins": 2.5}, "report_bins"),
+])
+def test_non_integer_setting_is_config_error(workspace, capsys, command, setting, field):
+    # a non-integer is refused by name, never truncated
+    tmp, cfg_path, config = workspace
+    if command != "gen":
+        main(["gen", "--config", str(cfg_path)])
+    dataset = tmp / "data.jsonl"
+    before = dataset.read_bytes() if dataset.exists() else None
+    for key, value in setting.items():
+        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp / "int")]
+    assert main(argv + (["--sweeps", str(tmp / "sweep")] if command == "report" else [])) == 2
+    assert f"config error: {field}: must be an integer" in capsys.readouterr().err
+    assert not (tmp / "int").exists()
+    assert (dataset.read_bytes() if dataset.exists() else None) == before
+
+
+@pytest.mark.parametrize("section, name, value", [("train", "t_grid", "uniform"),
+                                                  ("train", "samples_per_utterance", 5),
+                                                  ("loss", "bn_epsilon", 1e-5)])
+def test_removed_setting_is_unknown_field(workspace, capsys, section, name, value):
+    tmp, cfg_path, config = workspace
+    main(["gen", "--config", str(cfg_path)])
+    config[section] = {**config.get(section, {}), name: value}
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    assert f"config error: {section}.{name}: unknown field" in capsys.readouterr().err
+    assert not (tmp / "policy.ckpt").exists()
 
 
 class TestSimulateCommand:

@@ -164,7 +164,7 @@ class TestTotalLoss:
         q = rng.standard_normal(8)
         labels = rng.standard_normal(8)
         total, _ = total_loss(q, labels, weights)
-        assert total == pytest.approx(cov_loss(q, labels, weights.bn_epsilon), abs=1e-15)
+        assert total == pytest.approx(cov_loss(q, labels), abs=1e-15)
 
     def test_zero_network_san_reduces_to_bce(self):
         weights = LossWeights(lambda_mono=0.1, lambda_l2=0.01, lambda_align=1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulgain.errors import MetricError, ShapeError
 from simulgain.metrics import (
@@ -142,6 +144,19 @@ class TestNose:
         points = [make_point(1.0, 30.0), make_point(2.0, 40.0), make_point(3.0, 35.0)]
         got = nose(points, 40.0, LatencyBand(2.0, 3.0))
         assert got == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.5, 1.0, 1.5, 2.0, -0.0, 0.0]),
+                              st.sampled_from([10.0, 20.0, 30.0, 0.0, -0.0])), max_size=12))
+    def test_envelope_equals_all_pairs_dominance(self, pairs):
+        # few distinct values, so ties in latency, quality or both are common
+        points = [make_point(lat, qual) for lat, qual in pairs]
+        distinct = sorted(set(pairs))
+        kept = [(lat, qual) for lat, qual in distinct
+                if not any(o_lat <= lat and o_q >= qual and (o_lat < lat or o_q > qual) for o_lat, o_q in distinct)]
+        xs, ys = pareto_envelope(points)
+        assert xs.tobytes() == np.array([k[0] for k in kept]).tobytes()
+        assert ys.tobytes() == np.array([k[1] for k in kept]).tobytes()
 
 
 class TestReadLoopPct:

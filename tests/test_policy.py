@@ -8,9 +8,10 @@ from simulgain.policy import (
     PolicyConfig,
     PolicyParams,
     PolicyVariant,
-    backward,
+    backward_from_cache,
     forward,
     forward_batch,
+    forward_with_cache,
     init_params,
     load_params,
     params_to_vector,
@@ -158,7 +159,8 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, params):
         rng = np.random.default_rng(6)
-        gw, gb = backward(params, rng.standard_normal((4, DIM)), rng.uniform(0, 5, 4), np.zeros(4))
+        _, cache = forward_with_cache(params, rng.standard_normal((4, DIM)), rng.uniform(0, 5, 4))
+        gw, gb = backward_from_cache(params, cache, np.zeros(4))
         assert all(np.all(g == 0) for g in gw + gb)
 
     def test_matches_finite_differences(self, params, variant):
@@ -167,7 +169,8 @@ class TestBackward:
         feats = rng.standard_normal((5, DIM))
         times = rng.uniform(0, 10, 5)
         contract = rng.standard_normal(5)
-        gw, gb = backward(params, feats, times, contract)
+        _, cache = forward_with_cache(params, feats, times)
+        gw, gb = backward_from_cache(params, cache, contract)
         analytic = params_to_vector(PolicyParams(params.config, gw, gb))
         theta = params_to_vector(params)
         h = 1e-5
@@ -182,8 +185,9 @@ class TestBackward:
             assert abs(analytic[c] - numeric) <= max(1e-6, 1e-4 * max(abs(analytic[c]), abs(numeric)))
 
     def test_upstream_shape_checked(self, params):
+        _, cache = forward_with_cache(params, np.zeros((3, DIM)), np.zeros(3))
         with pytest.raises(ShapeError):
-            backward(params, np.zeros((3, DIM)), np.zeros(3), np.zeros(4))
+            backward_from_cache(params, cache, np.zeros(4))
 
 
 class TestSerialization:

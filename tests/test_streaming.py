@@ -133,8 +133,10 @@ class TestWaitK:
         assert log.delays_s == [utt.duration_s] * utt.n_tokens
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ConfigError):
-            WaitKPolicy(-1)
+        # NaN would write every token at the first chunk: n > chunks_read - nan is always False
+        for k in (-1, math.nan, 2.5):
+            with pytest.raises(ConfigError, match="^k: "):
+                WaitKPolicy(k)
 
 
 class TestThresholds:

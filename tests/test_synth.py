@@ -421,9 +421,10 @@ class TestKernelAgainstClosedForm:
     def test_exhaustive_batch_and_grid(self, case):
         cfg, utt = case
         oracle = OracleModel(cfg)
-        batch = sample_batch([utt], oracle, TrainConfig(t_grid="exhaustive"), np.random.default_rng(0))
+        batch = sample_batch([utt], oracle, TrainConfig(batch_size=64), np.random.default_rng(0))
         params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA, cfg.feature_dim, hidden_dims=(8,)), 0)
-        _, gains = score_info_gain_grid(oracle, params, [utt])
+        _, gains = score_info_gain_grid(oracle, params, [utt])  # frame-major, one row of tokens per frame
+        frames = np.searchsorted(oracle.frame_grid(utt), batch.t_audio)
         for i, (t, n) in enumerate(zip(batch.t_audio.tolist(), batch.token_index.tolist())):
             prob, evidence = closed_form(cfg, utt, t, n)
             full, _ = closed_form(cfg, utt, utt.duration_s, n)
@@ -433,4 +434,4 @@ class TestKernelAgainstClosedForm:
             assert evidence_of(oracle, batch.features[i]) == pytest.approx(evidence, abs=1e-12)
             assert evidence_of(oracle, batch.features_next[i]) == pytest.approx(
                 closed_form(cfg, utt, t, n_next)[1], abs=1e-12)
-            assert gains[i] == pytest.approx(math.log(full) - math.log(prob), abs=1e-12)
+            assert gains[frames[i] * utt.n_tokens + n] == pytest.approx(math.log(full) - math.log(prob), abs=1e-12)
