@@ -269,16 +269,17 @@ class TestFusedStep:
         odd = Utterance("odd", 2.03, [4, 9, 2], [0.5, 1.4, 1.95], [False, True, False])
         return OracleModel(cfg), generate_dataset(cfg, 7) + [odd]
 
-    @pytest.mark.parametrize("batch_size", [24, 2])
+    @pytest.mark.parametrize("batch_size", [None, 24, 5, 2])
     @pytest.mark.parametrize("lambda_mono", [0.0, 0.1])
     @pytest.mark.parametrize("objective", ["cov", "mse"])
     @pytest.mark.parametrize("variant", list(PolicyVariant))
     def test_train_matches_reference_byte_for_byte(self, noisy_env, variant, objective, lambda_mono, batch_size):
-        # 2 is the smallest legal batch
+        # None is TrainConfig's default batch size; 2 is the smallest legal batch
         oracle, dataset = noisy_env
         pc = PolicyConfig.for_variant(variant, oracle.config.feature_dim, hidden_dims=(16, 12))
-        tc = TrainConfig(variant=variant, steps=30, batch_size=batch_size, rng_seed=4, objective=objective,
-                         label_noise_std=0.2, warmup_steps=10, weight_decay=1e-3)
+        sizing = {} if batch_size is None else {"batch_size": batch_size}
+        tc = TrainConfig(variant=variant, steps=30, rng_seed=4, objective=objective, label_noise_std=0.2,
+                         warmup_steps=10, weight_decay=1e-3, **sizing)
         weights = LossWeights(lambda_mono=lambda_mono)
         report = train(oracle, dataset, pc, tc, weights)
         rows, theta = reference_train(oracle, dataset, pc, tc, weights)
