@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, NumericError, integer_setting
+from .errors import ConfigError, MetricError, NumericError, check_settings, require, setting
 from .losses import LossWeights
 from .metrics import (
     LatencyBand,
@@ -47,7 +47,7 @@ class ExperimentConfig:
 
     A section (a field whose default is built by its class) may be given as
     a dict of its fields, and other values as JSON reads them;
-    ``__post_init__`` converts them.
+    ``__post_init__`` checks and converts them.
     """
 
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -65,21 +65,17 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        check_settings(self)
         for f in dataclasses.fields(self):
             section, value = f.default_factory, getattr(self, f.name)
             if section is not dataclasses.MISSING and not isinstance(value, section):
                 known = {g.name for g in dataclasses.fields(section)}
                 for key in value:
-                    if key not in known:
-                        raise ConfigError(f"{f.name}.{key}: unknown field")
+                    require(key in known, f"{f.name}.{key}", "unknown field")
                 setattr(self, f.name, section(**value))
-        self.hidden_dims = tuple(self.hidden_dims)
-        self.time_base = float(self.time_base)
-        self.count = integer_setting(self.count, "count")
-        self.alphas = tuple(float(a) for a in self.alphas)
         if self.band is not None:
-            self.band = LatencyBand(float(self.band[0]), float(self.band[1]))
-        self.report_bins = integer_setting(self.report_bins, "report_bins")
+            self.band = LatencyBand(*setting(self.band, tuple[float, float], "band"))
+        require(self.report_bins >= 1, "report_bins", "must be >= 1")
 
 
 def load_config(path: str | None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
@@ -93,17 +89,15 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
         raise ConfigError(f"config file {path}: must hold a JSON object")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(_PATHS) | {"paths"}
     for key in data:
-        if key not in known:
-            raise ConfigError(f"{key}: unknown config section")
+        require(key in known, key, "unknown config section")
     try:
         paths = data.pop("paths", {})
         for key in paths:
-            if key not in _PATHS:
-                raise ConfigError(f"paths.{key}: unknown field")
+            require(key in _PATHS, f"paths.{key}", "unknown field")
         cfg = ExperimentConfig(**data, **paths)
     except ConfigError:
         raise
-    except (TypeError, ValueError, IndexError) as exc:  # a value of the wrong JSON type, shape or text
+    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type or text
         raise ConfigError(f"config file {path}: {exc}") from None
     if seed is not None:
         cfg.synth = dataclasses.replace(cfg.synth, rng_seed=seed)
@@ -196,7 +190,7 @@ def cmd_simulate(args) -> int:
     dataset, oracle, params, _ = _stream_inputs(cfg)
     [point], logs_by_alpha = sweep(oracle, params, dataset, [alpha], cfg.stream, collect_logs=True)
     out = _out_dir(cfg)
-    save_logs(logs_by_alpha[float(alpha)], out / "emission_logs.jsonl")
+    save_logs(logs_by_alpha[alpha], out / "emission_logs.jsonl")
     print(f"alpha={alpha}: mean LAAL {point.mean_laal_s:.3f} s, BLEU {point.quality:.2f}, "
           f"read loops {point.read_loop_pct:.1f}% -> {out / 'emission_logs.jsonl'}")
     return 0
@@ -214,14 +208,13 @@ def cmd_sweep(args) -> int:
     alphas = cfg.alphas
     if args.alphas is not None:
         alphas = tuple(_parse_alpha(i, item) for i, item in enumerate(args.alphas.split(","), start=1))
-    if not alphas:
-        raise ConfigError("alphas: must be provided in the config or via --alphas")
+    require(len(alphas) > 0, "alphas", "must be provided in the config or via --alphas")
     dataset, oracle, params, extra = _stream_inputs(cfg)
     points, logs_by_alpha = sweep(oracle, params, dataset, alphas, cfg.stream, collect_logs=True)
     out = _out_dir(cfg)
     write_pareto_csv(points, out / "pareto.csv")
     for i, alpha in enumerate(alphas):
-        save_logs(logs_by_alpha[float(alpha)], out / f"logs_{i:02d}.jsonl")
+        save_logs(logs_by_alpha[alpha], out / f"logs_{i:02d}.jsonl")
     meta = {"variant": extra.get("variant", "UNKNOWN"), "alphas": list(alphas),
             "dataset": str(cfg.dataset), "checkpoint": str(cfg.checkpoint)}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
@@ -240,8 +233,7 @@ def _offline_quality(oracle: OracleModel, dataset) -> float:
 
 def cmd_report(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    if cfg.band is None:
-        raise ConfigError("band: required for report (set \"band\": [x, y] in the config)")
+    require(cfg.band is not None, "band", "required for report (set \"band\": [x, y] in the config)")
     dataset = _load_dataset(cfg)
     oracle = OracleModel(cfg.synth)
     offline = _offline_quality(oracle, dataset)

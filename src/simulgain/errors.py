@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the input-file parsing helpers that raise them."""
+"""Exception types shared across the package, and the setting checks and input-file parsers that raise them."""
 
+import dataclasses
+import functools
 import numbers
+import typing
 from pathlib import Path
 
 
@@ -55,11 +58,54 @@ def token_ids(values, field: str) -> list:
     return values
 
 
-def integer_setting(value, field: str) -> int:
-    """``value`` as an int if it is an integer, else ConfigError naming ``field``.
+def require(condition: bool, field: str, message: str) -> None:
+    """ConfigError ``<field>: <message>`` unless ``condition`` holds."""
+    if not condition:
+        raise ConfigError(f"{field}: {message}")
 
-    A setting written as ``16.5`` or ``true`` is refused, not truncated.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{field}: must be an integer")
+
+def number_setting(value, field: str) -> float:
+    """``value`` as a float if it is a number other than NaN (+-inf passes), else ConfigError naming ``field``."""
+    require(not isinstance(value, bool) and isinstance(value, numbers.Real) and value == value,
+            field, f"must be a number and not NaN, got {value!r}")
+    return float(value)
+
+
+def integer_setting(value, field: str) -> int:
+    """``value`` as an int if it is an integer, else ConfigError naming ``field``; ``16.5`` is never truncated."""
+    require(not isinstance(value, bool) and isinstance(value, numbers.Integral), field, "must be an integer")
     return int(value)
+
+
+def setting(value, kind, field: str):
+    """``value`` as the declared type ``kind``: int, float, or a tuple of them."""
+    if kind is int:
+        return integer_setting(value, field)
+    if kind is float:
+        return number_setting(value, field)
+    require(isinstance(value, (list, tuple)), field, "must be a list")
+    kinds = typing.get_args(kind)
+    if kinds[-1] is Ellipsis:
+        kinds = kinds[:1] * len(value)
+    require(len(value) == len(kinds), field, f"must have {len(kinds)} items")
+    return tuple(setting(v, k, field) for v, k in zip(value, kinds))
+
+
+@functools.cache
+def _numeric_fields(cls) -> tuple:
+    """(name, type) of each field of ``cls`` declared int, float or a tuple of them."""
+    types = typing.get_type_hints(cls)
+    return tuple((f.name, types[f.name]) for f in dataclasses.fields(cls)
+                 if types[f.name] in (int, float) or typing.get_origin(types[f.name]) is tuple)
+
+
+def check_settings(settings) -> None:
+    """Convert each int, float and tuple field of a settings dataclass to its declared type, in place.
+
+    The one rule for every number setting: a float field takes a number
+    other than NaN, an int field an integer, and a tuple field a list of
+    those, as many as a fixed-arity tuple such as ``tuple[float, float]``
+    declares.  A bool, a string or None is refused, never coerced.
+    """
+    for name, kind in _numeric_fields(type(settings)):
+        object.__setattr__(settings, name, setting(getattr(settings, name), kind, name))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BatchError, ConfigError, ShapeError
+from .errors import BatchError, ShapeError, check_settings, require
 from .numerics import sigmoid, sigmoid_from_exp
 
 
@@ -27,12 +27,10 @@ class LossWeights:
     tau: float = 0.5
 
     def __post_init__(self):
-        # written as `not x >= 0` so that NaN fails too
+        check_settings(self)
         for name in ("lambda_mono", "lambda_l2", "lambda_align"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name}: must be >= 0")
-        if not self.tau > 0:
-            raise ConfigError("tau: must be > 0")
+            require(getattr(self, name) >= 0, name, "must be >= 0")
+        require(self.tau > 0, "tau", "must be > 0")
 
 
 def _as_1d(name: str, values) -> np.ndarray:
@@ -68,8 +66,7 @@ def l2_loss(q) -> float:
 
 def align_target(t_audio, t_star, tau: float):
     """Soft read-probability target: 1 well before the boundary, 0 well past it."""
-    if tau <= 0:
-        raise ConfigError("tau: must be > 0")
+    require(tau > 0, "tau", "must be > 0")
     return sigmoid((np.asarray(t_star, dtype=np.float64) - np.asarray(t_audio, dtype=np.float64)) / tau)
 
 
@@ -151,8 +148,7 @@ def loss_and_grad(q, labels, weights: LossWeights, *,
     direction.  The MSE ablation regresses the score onto the sign-flipped
     labels (the gain of waiting), so large scores keep meaning "read more".
     """
-    if objective not in ("cov", "mse"):
-        raise ConfigError(f"objective: unknown value {objective!r}")
+    require(objective in ("cov", "mse"), "objective", f"unknown value {objective!r}")
     q = _as_1d("q", q)
     labels = _as_1d("labels", labels)
     if q.shape != labels.shape:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, integer_setting
+from .errors import ConfigError, ShapeError, check_settings, require
 
 
 class PolicyVariant(str, Enum):
@@ -33,6 +33,11 @@ class PolicyVariant(str, Enum):
     def uses_alignment_loss(self) -> bool:
         return self in (PolicyVariant.REINA_SAN, PolicyVariant.REINA_ALL)
 
+    def check(self, config: PolicyConfig) -> None:
+        """ConfigError unless ``config`` is the head shape this variant trains."""
+        if self.uses_time_embedding != config.use_time_embedding:
+            raise ConfigError(f"variant {self.value} requires use_time_embedding={self.uses_time_embedding}")
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -48,16 +53,12 @@ class PolicyConfig:
     time_base: float = 100.0
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dim", integer_setting(self.input_dim, "input_dim"))
-        object.__setattr__(self, "hidden_dims", tuple(integer_setting(h, "hidden_dims") for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ConfigError("input_dim: must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ConfigError("hidden_dims: all widths must be >= 1")
-        if not self.time_base > 1:  # NaN fails too
-            raise ConfigError("time_base: must be > 1")
-        if self.use_time_embedding and self.input_dim % 2:
-            raise ConfigError("input_dim: must be even when the time embedding is enabled")
+        check_settings(self)
+        require(self.input_dim >= 1, "input_dim", "must be >= 1")
+        require(all(h >= 1 for h in self.hidden_dims), "hidden_dims", "all widths must be >= 1")
+        require(self.time_base > 1, "time_base", "must be > 1")
+        require(not (self.use_time_embedding and self.input_dim % 2), "input_dim",
+                "must be even when the time embedding is enabled")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

@@ -17,17 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, integer_setting, parse_lines, token_ids
+from .errors import check_settings, integer_setting, number_setting, parse_lines, require, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
 
 _END_EPS = 1e-12
-
-
-def _check_alpha(alpha: float) -> None:
-    if alpha != alpha:
-        raise ConfigError("alpha: must be a number or +-inf, not NaN")
 
 
 @dataclass(frozen=True)
@@ -36,9 +31,8 @@ class StreamConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not self.chunk_ms > 0:  # NaN fails too
-            raise ConfigError("chunk_ms: must be > 0")
-        _check_alpha(self.alpha)
+        check_settings(self)
+        require(self.chunk_ms > 0, "chunk_ms", "must be > 0")
 
     @property
     def chunk_s(self) -> float:
@@ -86,19 +80,17 @@ class ThresholdPolicy:
     """
 
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
-        _check_alpha(alpha)
         self.oracle = oracle
         self.params = params.copy()
-        self.alpha = alpha
+        self.alpha = number_setting(alpha, "alpha")
         # id(utt) -> (utt, {t_s: scores by token}); holding the utterance keeps
         # its id from being reused while the table lives
         self._scores: dict[int, tuple[Utterance, dict[float, list[float]]]] = {}
 
     def with_alpha(self, alpha: float) -> ThresholdPolicy:
         """This policy at threshold ``alpha``, sharing its params copy and score table."""
-        _check_alpha(alpha)
         other = copy.copy(self)
-        other.alpha = alpha
+        other.alpha = number_setting(alpha, "alpha")
         return other
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
@@ -118,10 +110,10 @@ class GainThresholdPolicy:
     """Perfectly calibrated reference policy: read while the exact gain exceeds the threshold."""
 
     def __init__(self, oracle: OracleModel, gain_threshold: float):
-        if not (gain_threshold >= 0 or gain_threshold == -math.inf):  # NaN fails too
-            raise ConfigError("gain_threshold: must be >= 0 (or -inf for always-write)")
         self.oracle = oracle
-        self.gain_threshold = gain_threshold
+        self.gain_threshold = number_setting(gain_threshold, "gain_threshold")
+        require(self.gain_threshold >= 0 or self.gain_threshold == -math.inf, "gain_threshold",
+                "must be >= 0 (or -inf for always-write)")
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
         return self.oracle.true_info_gain(utt, t_s, n) > self.gain_threshold
@@ -132,8 +124,7 @@ class WaitKPolicy:
 
     def __init__(self, k: int):
         self.k = integer_setting(k, "k")
-        if self.k < 0:
-            raise ConfigError("k: must be >= 0")
+        require(self.k >= 0, "k", "must be >= 0")
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
         return n > chunks_read - self.k
@@ -180,6 +171,7 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
           config: StreamConfig, policy_factory=None, collect_logs: bool = False):
     """Simulate the whole dataset at each threshold; one operating point per alpha.
 
+    Each alpha must be a number other than NaN, and is passed on as a float.
     ``policy_factory(alpha)`` overrides the default threshold policy, which
     lets reference policies reuse the same harness.  The default policies of
     all alphas share one score table (:meth:`ThresholdPolicy.with_alpha`),
@@ -188,12 +180,10 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     """
     from .metrics import ParetoPoint, bleu, laal, read_loop_pct  # deferred: metrics consumes logs
 
-    alphas = list(alphas)
-    if not alphas:
-        raise ConfigError("alphas: must be non-empty")
+    alphas = [number_setting(alpha, "alpha") for alpha in alphas]
+    require(len(alphas) > 0, "alphas", "must be non-empty")
     if policy_factory is None:
-        if params is None:
-            raise ConfigError("params: required unless a policy_factory is given")
+        require(params is not None, "params", "required unless a policy_factory is given")
         policy_factory = ThresholdPolicy(oracle, params, alphas[0]).with_alpha
     refs = [list(u.target_tokens) for u in dataset]
     points = []
@@ -203,10 +193,10 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
         logs = [simulate(oracle, utt, policy, config) for utt in dataset]
         mean_laal = float(np.mean([laal(log, utt.n_tokens) for log, utt in zip(logs, dataset)]))
         quality = bleu([log.tokens for log in logs], refs)
-        points.append(ParetoPoint(alpha=float(alpha), mean_laal_s=mean_laal,
+        points.append(ParetoPoint(alpha=alpha, mean_laal_s=mean_laal,
                                   quality=quality, read_loop_pct=read_loop_pct(logs)))
         if collect_logs:
-            logs_by_alpha[float(alpha)] = logs
+            logs_by_alpha[alpha] = logs
     if collect_logs:
         return points, logs_by_alpha
     return points

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, integer_setting, parse_lines, token_ids
+from .errors import check_settings, integer_setting, number_setting, parse_lines, require, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -60,11 +60,6 @@ def _hash_standard_normal(seed: int, utt_key, frame_index, token_index) -> np.nd
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def _require(condition: bool, field: str, message: str) -> None:
-    if not condition:
-        raise ConfigError(f"{field}: {message}")
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for dataset generation and the analytic oracle."""
@@ -84,25 +79,21 @@ class SynthConfig:
     aligned_prob: float = 1.0
 
     def __post_init__(self):
-        for name in ("vocab_size", "feature_dim", "rng_seed"):
-            object.__setattr__(self, name, integer_setting(getattr(self, name), name))
-        object.__setattr__(self, "tokens_per_utt_range",
-                           tuple(integer_setting(v, "tokens_per_utt_range") for v in self.tokens_per_utt_range))
-        _require(self.vocab_size >= 2, "vocab_size", "must be >= 2")
-        _require(self.frame_ms > 0, "frame_ms", "must be > 0")
-        lo, hi = self.tokens_per_utt_range
-        _require(lo >= 1, "tokens_per_utt_range", "minimum must be >= 1")
-        _require(lo <= hi, "tokens_per_utt_range", "must satisfy min <= max")
-        _require(self.mean_token_gap_s > 0, "mean_token_gap_s", "must be > 0")
-        _require(0 <= self.gap_jitter_s < self.mean_token_gap_s, "gap_jitter_s",
+        check_settings(self)
+        require(self.vocab_size >= 2, "vocab_size", "must be >= 2")
+        require(self.frame_ms > 0, "frame_ms", "must be > 0")
+        require(1 <= self.tokens_per_utt_range[0] <= self.tokens_per_utt_range[1], "tokens_per_utt_range",
+                "need 1 <= min <= max")
+        require(self.mean_token_gap_s > 0, "mean_token_gap_s", "must be > 0")
+        require(0 <= self.gap_jitter_s < self.mean_token_gap_s, "gap_jitter_s",
                  "must be >= 0 and < mean_token_gap_s (gaps must stay positive)")
-        _require(0 < self.p_min < self.p_max < 1, "p_min", "need 0 < p_min < p_max < 1")
-        _require(self.ramp_s > 0, "ramp_s", "must be > 0")
-        _require(0 <= self.ambiguity_prob <= 1, "ambiguity_prob", "must lie in [0, 1]")
-        _require(self.feature_dim >= 3, "feature_dim", "must be >= 3 (token embedding needs feature_dim - 2 dims)")
-        _require(self.noise_std >= 0, "noise_std", "must be >= 0")
-        _require(self.rng_seed >= 0, "rng_seed", "must be >= 0")
-        _require(0 <= self.aligned_prob <= 1, "aligned_prob", "must lie in [0, 1]")
+        require(0 < self.p_min < self.p_max < 1, "p_min", "need 0 < p_min < p_max < 1")
+        require(self.ramp_s > 0, "ramp_s", "must be > 0")
+        require(0 <= self.ambiguity_prob <= 1, "ambiguity_prob", "must lie in [0, 1]")
+        require(self.feature_dim >= 3, "feature_dim", "must be >= 3 (token embedding needs feature_dim - 2 dims)")
+        require(self.noise_std >= 0, "noise_std", "must be >= 0")
+        require(self.rng_seed >= 0, "rng_seed", "must be >= 0")
+        require(0 <= self.aligned_prob <= 1, "aligned_prob", "must lie in [0, 1]")
 
     @property
     def frame_s(self) -> float:
@@ -288,8 +279,7 @@ class OracleModel:
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
         """Earliest grid time at which waiting is worth at most ``gain_threshold``."""
-        if not gain_threshold >= 0:  # NaN fails too
-            raise ConfigError("gain_threshold: must be >= 0")
+        require(number_setting(gain_threshold, "gain_threshold") >= 0, "gain_threshold", "must be >= 0")
         self._check_state(utt, 0.0, n)
         grid = self.frame_grid(utt)
         gains = self.info_gain_many(utt, grid, np.full(len(grid), n, dtype=np.int64))
@@ -305,8 +295,7 @@ class DatasetIndex:
     """
 
     def __init__(self, dataset, oracle: OracleModel):
-        if not dataset:
-            raise ConfigError("dataset: must be non-empty")
+        require(bool(dataset), "dataset", "must be non-empty")
         self.oracle = oracle
         self.utterances = list(dataset)
         grids = [oracle.frame_grid(u) for u in self.utterances]
@@ -332,8 +321,7 @@ class DatasetIndex:
 
 def generate_dataset(config: SynthConfig, count: int) -> list[Utterance]:
     """Draw ``count`` utterances; byte-reproducible from ``config.rng_seed``."""
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError("count: must be an integer >= 1")
+    require(integer_setting(count, "count") >= 1, "count", "must be >= 1")
     rng = np.random.default_rng([config.rng_seed, _DATASET_STREAM])
     frame = config.frame_s
     lo, hi = config.tokens_per_utt_range

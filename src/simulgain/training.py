@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, integer_setting
+from .errors import NumericError, check_settings, require
 from .losses import LossWeights, align_target, loss_and_grad, total_loss
 from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .policy import (
@@ -54,31 +54,18 @@ class TrainConfig:
     label_noise_std: float = 0.0
 
     def __post_init__(self):
+        check_settings(self)
         object.__setattr__(self, "variant", PolicyVariant(self.variant))
-        object.__setattr__(self, "adam_betas", tuple(float(b) for b in self.adam_betas))
-        for name in ("batch_size", "steps", "warmup_steps", "rng_seed"):
-            integer_setting(getattr(self, name), name)
-        if self.batch_size < 2:
-            raise ConfigError("batch_size: must be >= 2 (label normalization needs a batch)")
-        if self.steps < 1:
-            raise ConfigError("steps: must be >= 1")
-        # written as `not x >= 0` so that NaN fails too
-        if not self.lr >= 0:
-            raise ConfigError("lr: must be >= 0")
-        if not all(0 <= b < 1 for b in self.adam_betas):
-            raise ConfigError("adam_betas: each must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps: must be > 0")
-        if not self.weight_decay >= 0:
-            raise ConfigError("weight_decay: must be >= 0")
-        if self.objective not in ("cov", "mse"):
-            raise ConfigError(f"objective: unknown value {self.objective!r}")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps: must be >= 0")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed: must be >= 0")
-        if not self.label_noise_std >= 0:
-            raise ConfigError("label_noise_std: must be >= 0")
+        require(self.batch_size >= 2, "batch_size", "must be >= 2 (label normalization needs a batch)")
+        require(self.steps >= 1, "steps", "must be >= 1")
+        require(self.lr >= 0, "lr", "must be >= 0")
+        require(all(0 <= b < 1 for b in self.adam_betas), "adam_betas", "each must lie in [0, 1)")
+        require(self.adam_eps > 0, "adam_eps", "must be > 0")
+        require(self.weight_decay >= 0, "weight_decay", "must be >= 0")
+        require(self.objective in ("cov", "mse"), "objective", f"unknown value {self.objective!r}")
+        require(self.warmup_steps >= 0, "warmup_steps", "must be >= 0")
+        require(self.rng_seed >= 0, "rng_seed", "must be >= 0")
+        require(self.label_noise_std >= 0, "label_noise_std", "must be >= 0")
 
 
 @dataclass
@@ -301,8 +288,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     The returned parameters are views of one flat vector.
     """
     variant = train_config.variant
-    if variant.uses_time_embedding != policy_config.use_time_embedding:
-        raise ConfigError(f"variant {variant.value} requires use_time_embedding={variant.uses_time_embedding}")
+    variant.check(policy_config)
     index = DatasetIndex(dataset, oracle)
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
@@ -375,8 +361,7 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
     coordinates are held to a matching absolute tolerance.
     """
     variant = PolicyVariant(variant)
-    if variant.uses_time_embedding != policy_config.use_time_embedding:
-        raise ConfigError(f"variant {variant.value} requires use_time_embedding={variant.uses_time_embedding}")
+    variant.check(policy_config)
     rng = np.random.default_rng([seed, _CHECK_STREAM])
     batch = 16
     feats = rng.standard_normal((batch, policy_config.input_dim))

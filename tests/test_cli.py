@@ -1,12 +1,17 @@
+import dataclasses
 import hashlib
 import json
+import typing
 
 import numpy as np
 import pytest
 
-from simulgain.cli import main
+from simulgain.cli import ExperimentConfig, main
+from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params
+from simulgain.streaming import StreamConfig
 from simulgain.synth import OracleModel, SynthConfig, load_dataset
+from simulgain.training import TrainConfig
 
 
 @pytest.fixture
@@ -66,14 +71,17 @@ class TestGen:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, message", [
-        ("sweep", '{"alphas": ["abc"]}', "could not convert string to float: 'abc'"),
-        ("gen", '{"band": [1.0]}', "list index out of range"),
+        ("sweep", '{"alphas": ["abc"]}', "alphas: must be a number and not NaN, got 'abc'"),
+        ("gen", '{"band": [1.0]}', "band: must have 2 items"),
+        ("gen", '{"train": {"adam_betas": [0.9]}}', "adam_betas: must have 2 items"),
+        ("gen", '{"synth": {"tokens_per_utt_range": [3]}}', "tokens_per_utt_range: must have 2 items"),
+        ("gen", '{"hidden_dims": 8}', "hidden_dims: must be a list"),
     ])
     def test_config_string_that_is_no_number_is_config_error(self, tmp_path, command, text, message, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main([command, "--config", str(bad)]) == 2
-        assert f"config error: config file {bad}: {message}" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_config_section_error_keeps_its_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -96,9 +104,8 @@ class TestTrain:
         params, extra = load_params(config["paths"]["checkpoint"])
         assert extra["variant"] == "REINA"
 
-        from simulgain.losses import LossWeights
         from simulgain.policy import PolicyConfig, PolicyVariant
-        from simulgain.training import TrainConfig, train
+        from simulgain.training import train
 
         synth = SynthConfig(**config["synth"])
         oracle = OracleModel(synth)
@@ -223,7 +230,7 @@ NAN = float("nan")
 @pytest.mark.parametrize("command, setting, field", [
     ("sweep", ["--alphas", "nan"], "alpha"),
     ("sweep", ["--alphas", "0.0,nan"], "alpha"),
-    ("sweep", {"alphas": [0.0, NAN]}, "alpha"),
+    ("sweep", {"alphas": [0.0, NAN]}, "alphas"),
     ("simulate", ["--alpha", "nan"], "alpha"),
     ("simulate", {"stream": {"alpha": NAN}}, "alpha"),
     ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
@@ -281,6 +288,69 @@ def test_non_integer_setting_is_config_error(workspace, capsys, command, setting
     assert f"config error: {field}: must be an integer" in capsys.readouterr().err
     assert not (tmp / "int").exists()
     assert (dataset.read_bytes() if dataset.exists() else None) == before
+
+
+def _number_settings():
+    """(section or None, field, declared type, default) of every number setting of a config file.
+
+    Section fields are found by their declared types, so a new int, float
+    or tuple field is covered without a new case; ``band`` is a pair.
+    """
+    for section, cls in (("synth", SynthConfig), ("train", TrainConfig), ("loss", LossWeights),
+                         ("stream", StreamConfig)):
+        types = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = types[f.name]
+            if kind in (int, float) or typing.get_origin(kind) is tuple:
+                yield section, f.name, kind, f.default
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    types = typing.get_type_hints(ExperimentConfig)
+    for name in ("time_base", "alphas", "count", "report_bins", "hidden_dims"):
+        yield None, name, types[name], defaults[name]
+    yield None, "band", tuple[float, float], (0.5, 4.0)
+
+
+def _bad_number_cases():
+    for section, name, kind, default in _number_settings():
+        item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+        bad_values = {"str": "1", "bool": True, "null": None}
+        if item is float:
+            bad_values["nan"] = NAN
+        for label, bad in bad_values.items():
+            # a tuple field gets the bad value as its first item
+            value = [bad, *default[1:]] if item is not kind else bad
+            setting = {section: {name: value}} if section else {name: value}
+            message = "must be an integer" if item is int else f"must be a number and not NaN, got {bad!r}"
+            yield pytest.param(setting, f"{name}: {message}", id=f"{section + '.' if section else ''}{name}-{label}")
+
+
+@pytest.mark.parametrize("setting, message", _bad_number_cases())
+def test_number_setting_that_is_no_number_is_config_error(workspace, capsys, setting, message):
+    # numbers are JSON numbers: a string, a bool, null or NaN is refused by name, never coerced
+    tmp, cfg_path, config = workspace
+    for key, value in setting.items():
+        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp / "num")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp / "num").exists() and not (tmp / "data.jsonl").exists()
+
+
+def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):
+    # float settings are stored as floats, so new headers record 50.0 where older ones recorded 50
+    tmp, cfg_path, config = workspace
+    config["synth"]["frame_ms"] = 50
+    cfg_path.write_text(json.dumps(config))
+    main(["gen", "--config", str(cfg_path)])
+    assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 0
+    ckpt = tmp / "policy.ckpt"
+    header, arrays = ckpt.read_bytes().split(b"\n", 1)
+    record = json.loads(header)
+    assert type(record["extra"]["synth"]["frame_ms"]) is float
+    record["extra"]["synth"]["frame_ms"] = 50
+    ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 0
+    assert (tmp / "sweep" / "pareto.csv").exists()
 
 
 @pytest.mark.parametrize("section, name, value", [("train", "t_grid", "uniform"),
@@ -435,6 +505,16 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert (f"config error: dataset {data}: utterance {records[1]['id']}: token id {token} "
                 "is not below synth.vocab_size 50") in err
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_report_bins_below_one_is_config_error(self, swept, capsys, bins):
+        cfg_path, sweep_dir = swept
+        config = json.loads(cfg_path.read_text())
+        config["report_bins"] = bins
+        cfg_path.write_text(json.dumps(config))
+        assert self.report(cfg_path, sweep_dir) == 2
+        assert "config error: report_bins: must be >= 1" in capsys.readouterr().err
+        assert not (sweep_dir.parent / "report").exists()
 
     def test_malformed_sweep_meta(self, swept, capsys):
         cfg_path, sweep_dir = swept
