@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, NumericError, check_settings, require, setting
+from .errors import ConfigError, MetricError, NumericError, Threshold, check_settings, require, setting
 from .losses import LossWeights
 from .metrics import (
     LatencyBand,
@@ -57,7 +57,7 @@ class ExperimentConfig:
     hidden_dims: tuple[int, ...] = _POLICY_DEFAULTS["hidden_dims"]
     time_base: float = _POLICY_DEFAULTS["time_base"]
     count: int = 100
-    alphas: tuple[float, ...] = ()
+    alphas: tuple[Threshold, ...] = ()
     band: LatencyBand | None = None
     report_bins: int = 10
     dataset: str = "dataset.jsonl"
@@ -69,12 +69,16 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             section, value = f.default_factory, getattr(self, f.name)
             if section is not dataclasses.MISSING and not isinstance(value, section):
+                require(isinstance(value, dict), f.name, "must be a JSON object")
                 known = {g.name for g in dataclasses.fields(section)}
                 for key in value:
                     require(key in known, f"{f.name}.{key}", "unknown field")
                 setattr(self, f.name, section(**value))
         if self.band is not None:
-            self.band = LatencyBand(*setting(self.band, tuple[float, float], "band"))
+            try:
+                self.band = LatencyBand(*setting(self.band, tuple[float, float], "band"))
+            except MetricError as exc:
+                raise ConfigError(f"band: {exc}") from None
         require(self.report_bins >= 1, "report_bins", "must be >= 1")
 
 
@@ -92,6 +96,7 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
         require(key in known, key, "unknown config section")
     try:
         paths = data.pop("paths", {})
+        require(isinstance(paths, dict), "paths", "must be a JSON object")
         for key in paths:
             require(key in _PATHS, f"paths.{key}", "unknown field")
         cfg = ExperimentConfig(**data, **paths)

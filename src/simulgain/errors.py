@@ -2,9 +2,13 @@
 
 import dataclasses
 import functools
+import math
 import numbers
 import typing
 from pathlib import Path
+
+
+Threshold = typing.NewType("Threshold", float)  # a float setting a score is compared with; it may be +-inf
 
 
 class ConfigError(ValueError):
@@ -78,11 +82,13 @@ def integer_setting(value, field: str) -> int:
 
 
 def setting(value, kind, field: str):
-    """``value`` as the declared type ``kind``: int, float, or a tuple of them."""
+    """``value`` as the declared type ``kind``: int, float, Threshold, or a tuple of them."""
     if kind is int:
         return integer_setting(value, field)
-    if kind is float:
-        return number_setting(value, field)
+    if kind in (float, Threshold):
+        number = number_setting(value, field)
+        require(kind is Threshold or math.isfinite(number), field, f"must be finite, got {number!r}")
+        return number
     require(isinstance(value, (list, tuple)), field, "must be a list")
     kinds = typing.get_args(kind)
     if kinds[-1] is Ellipsis:
@@ -93,19 +99,20 @@ def setting(value, kind, field: str):
 
 @functools.cache
 def _numeric_fields(cls) -> tuple:
-    """(name, type) of each field of ``cls`` declared int, float or a tuple of them."""
+    """(name, type) of each field of ``cls`` declared int, float, Threshold or a tuple of them."""
     types = typing.get_type_hints(cls)
     return tuple((f.name, types[f.name]) for f in dataclasses.fields(cls)
-                 if types[f.name] in (int, float) or typing.get_origin(types[f.name]) is tuple)
+                 if types[f.name] in (int, float, Threshold) or typing.get_origin(types[f.name]) is tuple)
 
 
 def check_settings(settings) -> None:
-    """Convert each int, float and tuple field of a settings dataclass to its declared type, in place.
+    """Convert each number and tuple field of a settings dataclass to its declared type, in place.
 
-    The one rule for every number setting: a float field takes a number
-    other than NaN, an int field an integer, and a tuple field a list of
-    those, as many as a fixed-arity tuple such as ``tuple[float, float]``
-    declares.  A bool, a string or None is refused, never coerced.
+    The one rule for every number setting: a float field takes a finite
+    number, a Threshold field a number other than NaN, an int field an
+    integer, and a tuple field a list of those, as many as a fixed-arity
+    tuple such as ``tuple[float, float]`` declares.  A bool, a string or
+    None is refused, never coerced.
     """
     for name, kind in _numeric_fields(type(settings)):
         object.__setattr__(settings, name, setting(getattr(settings, name), kind, name))

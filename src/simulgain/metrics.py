@@ -4,7 +4,8 @@ Normative definitions used throughout this package:
 
 * LAAL: with hypothesis length H, reference length R, and source duration T,
   set gamma = max(H, R) / T and let tau be the first emission index at which
-  the source was already exhausted (or H if none).  LAAL is the mean of
+  the source was already exhausted, d_i within 1e-12 of T as in the
+  simulator (or H if none).  LAAL is the mean of
   d_i - (i-1)/gamma over i = 1..tau.  Raw values are reported; no clamping.
 * BLEU: corpus-level geometric mean of modified 1..4-gram precisions with
   add-one smoothing on zero counts for n >= 2, times the brevity penalty,
@@ -24,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MetricError, ShapeError, parse_lines
-from .streaming import EmissionLog, detect_read_loop
+from .streaming import _END_EPS, EmissionLog, detect_read_loop
 
-_END_EPS = 1e-9
+_BAND_SLACK = 1e-9  # how far a NoSE band may reach past the swept latency range
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def nose(points, offline_quality: float, band: LatencyBand) -> float:
         raise MetricError("offline_quality must be > 0")
     lats = np.array([p.mean_laal_s for p in points])
     lo, hi = float(lats.min()), float(lats.max())
-    if band.x < lo - _END_EPS or band.y > hi + _END_EPS:
+    if band.x < lo - _BAND_SLACK or band.y > hi + _BAND_SLACK:
         raise MetricError(
             f"band [{band.x}, {band.y}] outside achievable latency range [{lo}, {hi}]")
     xs, ys = pareto_envelope(points)

@@ -79,10 +79,6 @@ class PolicyParams:
     def copy(self) -> "PolicyParams":
         return PolicyParams(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 def init_params(config: PolicyConfig, seed=0) -> PolicyParams:
     """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""

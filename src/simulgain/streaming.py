@@ -17,18 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_settings, integer_setting, number_setting, parse_lines, require, token_ids
+from .errors import Threshold, check_settings, integer_setting, number_setting, parse_lines, require, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
 
-_END_EPS = 1e-12
+_END_EPS = 1e-12  # a time within this of T has exhausted the source; metrics.laal uses it too
 
 
 @dataclass(frozen=True)
 class StreamConfig:
     chunk_ms: float = 250.0
-    alpha: float = 0.0
+    alpha: Threshold = 0.0
 
     def __post_init__(self):
         check_settings(self)

@@ -198,29 +198,18 @@ class OracleModel:
         """Kernel probabilities for parallel (t_s, n) arrays of one utterance."""
         return oracle_states(self.config, t_s, utt.boundaries_s[np.asarray(n, dtype=np.int64)])[0]
 
-    def correct_token_prob(self, utt: Utterance, t_s: float, n: int) -> float:
-        """Probability the oracle puts on the correct pending token at time t_s."""
-        self._check_state(utt, t_s, n)
-        return float(self._prob(utt, [t_s], [n])[0])
-
-    def logprob(self, utt: Utterance, t_s: float, n: int) -> np.ndarray:
-        """Full log-probability vector over the vocabulary."""
-        cfg = self.config
-        p = self.correct_token_prob(utt, t_s, n)
-        out = np.full(cfg.vocab_size, math.log((1.0 - p) / (cfg.vocab_size - 1)))
-        out[int(utt.target_tokens[n])] = math.log(p)
-        return out
-
     def greedy_tokens(self, utt: Utterance, t_s, n) -> list[int]:
         """Greedy decode of the pending tokens ``n`` of one utterance at times ``t_s``.
 
         ``n`` is an array of token indices and ``t_s`` one time or one per
-        index.  Each token is ``argmax`` of :meth:`logprob`: the target if
-        ``log p`` beats the log of the residual mass ``(1 - p) / (vocab_size - 1)``
-        every other token gets, else the lowest id of a maximum, which is 0
-        on a tie or when the target is not 0, and 1 otherwise.  The logs are
-        taken with ``math.log``, as :meth:`logprob` takes them, because a
-        vectorized log may round differently and one ulp decides a tie.
+        index.  The oracle's next-token distribution gives the target the
+        probability ``p`` of :func:`oracle_states` and every other token
+        ``(1 - p) / (vocab_size - 1)``.  Each token is the argmax of its
+        log: the target if ``log p`` beats the log of that residual mass,
+        else the lowest id of a maximum, which is 0 on a tie or when the
+        target is not 0, and 1 otherwise.  The logs are taken with
+        ``math.log`` because a vectorized log may round differently and one
+        ulp decides a tie.
         """
         n = np.asarray(n, dtype=np.int64)
         others = self.config.vocab_size - 1
@@ -238,14 +227,13 @@ class OracleModel:
     def true_info_gain(self, utt: Utterance, t_s: float, n: int) -> float:
         """Exact benefit (nats) of waiting for the full audio before emitting token n."""
         self._check_state(utt, t_s, n)
-        p_now, p_full = self._prob(utt, [t_s, utt.duration_s], [n, n])
-        return math.log(p_full) - math.log(p_now)
+        return float(self.info_gain_many(utt, [t_s], [n])[0])
 
     def info_gain_many(self, utt: Utterance, t_s, n) -> np.ndarray:
-        """Vectorized :meth:`true_info_gain` over parallel (t_s, n) arrays."""
-        p_now = self._prob(utt, t_s, n)
-        p_full = self._prob(utt, np.full(np.shape(n), utt.duration_s), n)
-        return np.log(p_full) - np.log(p_now)
+        """Exact gains (nats) of parallel (t_s, n) arrays: ``log p(T) - log p(t_s)``, from one kernel call."""
+        n = np.asarray(n, dtype=np.int64)
+        log_p = np.log(self._prob(utt, [t_s, np.full(n.shape, utt.duration_s)], [n, n]))
+        return log_p[1] - log_p[0]
 
     # -- features ----------------------------------------------------------
 

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 
 import numpy as np
 import pytest
 
 from simulgain.cli import ExperimentConfig, main
+from simulgain.errors import Threshold
 from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params
 from simulgain.streaming import StreamConfig
@@ -62,13 +64,20 @@ class TestGen:
         assert main(["gen", "--config", str(bad)]) == 2
 
 
-    @pytest.mark.parametrize("text", ['[]', '{"synth": 5}', '{"paths": 5}', '{"band": 3}',
-                                      '{"synth": {"vocab_size": "50"}}'])
-    def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, text, capsys):
+    @pytest.mark.parametrize("text, message", [pytest.param(text, message, id=text) for text, message in [
+        ('[]', "config file {}: must hold a JSON object"),
+        ('{"synth": 5}', "synth: must be a JSON object"),
+        ('{"paths": 5}', "paths: must be a JSON object"),
+        ('{"band": 3}', "band: must be a list"),
+        ('{"band": [5, 1]}', "band: latency band needs 0 <= x < y, got [5.0, 1.0]"),
+        ('{"band": [-1, 2]}', "band: latency band needs 0 <= x < y, got [-1.0, 2.0]"),
+        ('{"synth": {"vocab_size": "50"}}', "vocab_size: must be an integer"),
+    ]])
+    def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, text, message, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["gen", "--config", str(bad)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {message.format(bad)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, message", [
         ("sweep", '{"alphas": ["abc"]}', "alphas: must be a number and not NaN, got 'abc'"),
@@ -293,15 +302,15 @@ def test_non_integer_setting_is_config_error(workspace, capsys, command, setting
 def _number_settings():
     """(section or None, field, declared type, default) of every number setting of a config file.
 
-    Section fields are found by their declared types, so a new int, float
-    or tuple field is covered without a new case; ``band`` is a pair.
+    Section fields are found by their declared types, so a new int, float,
+    Threshold or tuple field is covered without a new case; ``band`` is a pair.
     """
     for section, cls in (("synth", SynthConfig), ("train", TrainConfig), ("loss", LossWeights),
                          ("stream", StreamConfig)):
         types = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             kind = types[f.name]
-            if kind in (int, float) or typing.get_origin(kind) is tuple:
+            if kind in (int, float, Threshold) or typing.get_origin(kind) is tuple:
                 yield section, f.name, kind, f.default
     defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     types = typing.get_type_hints(ExperimentConfig)
@@ -314,14 +323,31 @@ def _bad_number_cases():
     for section, name, kind, default in _number_settings():
         item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
         bad_values = {"str": "1", "bool": True, "null": None}
-        if item is float:
+        if item is not int:
             bad_values["nan"] = NAN
+        if item is float:  # a Threshold may be +-inf
+            bad_values["inf"] = math.inf
         for label, bad in bad_values.items():
             # a tuple field gets the bad value as its first item
             value = [bad, *default[1:]] if item is not kind else bad
             setting = {section: {name: value}} if section else {name: value}
-            message = "must be an integer" if item is int else f"must be a number and not NaN, got {bad!r}"
+            message = ("must be an integer" if item is int else "must be finite, got inf" if label == "inf"
+                       else f"must be a number and not NaN, got {bad!r}")
             yield pytest.param(setting, f"{name}: {message}", id=f"{section + '.' if section else ''}{name}-{label}")
+
+
+def test_bad_number_cases_cover_thresholds_and_infinity():
+    ids = {case.id for case in _bad_number_cases()}
+    assert {"stream.alpha-nan", "alphas-nan", "synth.frame_ms-inf", "time_base-inf", "band-inf"} <= ids
+    assert not {"stream.alpha-inf", "alphas-inf"} & ids
+
+
+def test_infinite_thresholds_are_accepted(workspace):
+    tmp, cfg_path, config = workspace
+    config["alphas"] = [math.inf, -math.inf]
+    config["stream"]["alpha"] = -math.inf
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen", "--config", str(cfg_path)]) == 0
 
 
 @pytest.mark.parametrize("setting, message", _bad_number_cases())

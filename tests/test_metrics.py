@@ -22,7 +22,7 @@ from simulgain.metrics import (
     write_nose_csv,
     write_pareto_csv,
 )
-from simulgain.streaming import EmissionLog
+from simulgain.streaming import EmissionLog, detect_read_loop
 from simulgain.synth import Utterance
 
 
@@ -50,6 +50,14 @@ class TestLaal:
         expected = np.mean([0.25 - i for i in range(4)])
         assert laal(log, 4) == pytest.approx(float(expected), abs=1e-12)
         assert laal(log, 4) < 0
+
+    def test_source_is_exhausted_where_the_simulator_says(self):
+        # 5e-10 short of T is not exhausted for the simulator's loop guard and
+        # read-loop rule, so it is not for tau either: tau = 2, gamma = 2/3
+        log = make_log([3.0 - 5e-10, 3.0], 3.0)
+        assert not detect_read_loop(log)
+        assert laal(log, 2) == pytest.approx(((3.0 - 5e-10) + (3.0 - 1.5)) / 2, abs=1e-12)
+        assert laal(log, 2) == pytest.approx(2.25, abs=1e-9)
 
     def test_time_rescaling(self):
         d = [0.5, 1.25, 2.0]

@@ -215,4 +215,4 @@ def test_vector_round_trip(params):
     vec = params_to_vector(params)
     back = vector_to_params(params.config, vec)
     np.testing.assert_array_equal(params_to_vector(back), vec)
-    assert params.n_parameters == vec.shape[0]
+    assert vec.shape[0] == sum(w.size for w in params.weights) + sum(b.size for b in params.biases)

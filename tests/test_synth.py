@@ -15,6 +15,7 @@ from simulgain.synth import (
     _hash_standard_normal,
     generate_dataset,
     load_dataset,
+    oracle_states,
     save_dataset,
     utterance_to_json,
 )
@@ -103,11 +104,27 @@ class TestGeneration:
         assert 0.2 < flags.mean() < 0.8
 
 
+# -- the next-token distribution written out from the kernel ------------------
+
+def correct_token_prob(oracle, utt, t_s, n):
+    """Probability the oracle puts on the correct pending token n at time t_s."""
+    return float(oracle_states(oracle.config, [t_s], utt.boundaries_s[[n]])[0][0])
+
+
+def logprob(oracle, utt, t_s, n):
+    """Full next-token log-probability vector: log p on the target, log((1 - p) / (V - 1)) elsewhere."""
+    p = correct_token_prob(oracle, utt, t_s, n)
+    vocab = oracle.config.vocab_size
+    out = np.full(vocab, math.log((1.0 - p) / (vocab - 1)))
+    out[int(utt.target_tokens[n])] = math.log(p)
+    return out
+
+
 class TestCorrectTokenProb:
     def test_at_boundary_is_midpoint(self, oracle, dataset):
         utt = dataset[0]
         cfg = oracle.config
-        got = oracle.correct_token_prob(utt, float(utt.boundaries_s[0]), 0)
+        got = correct_token_prob(oracle, utt, float(utt.boundaries_s[0]), 0)
         assert got == pytest.approx(cfg.p_min + (cfg.p_max - cfg.p_min) * 0.5, abs=1e-12)
 
     def test_saturates_toward_p_max(self):
@@ -115,7 +132,7 @@ class TestCorrectTokenProb:
         oracle = OracleModel(cfg)
         utt = make_utterance([1.0], 10.0)
         t = 1.0 + 20 * cfg.ramp_s
-        assert oracle.correct_token_prob(utt, t, 0) == pytest.approx(cfg.p_max, abs=1e-6)
+        assert correct_token_prob(oracle, utt, t, 0) == pytest.approx(cfg.p_max, abs=1e-6)
 
     def test_derived_value(self):
         # p_min + (p_max - p_min) * sigmoid(1) computed directly
@@ -124,12 +141,12 @@ class TestCorrectTokenProb:
         utt = make_utterance([2.0], 10.0)
         expected = 0.1 + 0.8 * sigmoid(1.0)
         assert expected == pytest.approx(0.6848, abs=1e-4)
-        assert oracle.correct_token_prob(utt, 2.5, 0) == pytest.approx(expected, abs=1e-12)
+        assert correct_token_prob(oracle, utt, 2.5, 0) == pytest.approx(expected, abs=1e-12)
 
     def test_increasing_until_float_saturation(self, oracle, dataset):
         utt = dataset[1]
         grid = oracle.frame_grid(utt)
-        probs = np.array([oracle.correct_token_prob(utt, float(t), 0) for t in grid])
+        probs = np.array([correct_token_prob(oracle, utt, float(t), 0) for t in grid])
         diffs = np.diff(probs)
         assert np.all(diffs >= 0)
         # strict increase wherever the ramp is still resolvable in float64
@@ -137,8 +154,9 @@ class TestCorrectTokenProb:
         assert np.all(diffs[unsaturated] > 0)
 
     def test_index_error(self, oracle, dataset):
-        with pytest.raises(IndexError):
-            oracle.correct_token_prob(dataset[0], 1.0, dataset[0].n_tokens)
+        for view in (oracle.features, oracle.greedy_token, oracle.true_info_gain):
+            with pytest.raises(IndexError):
+                view(dataset[0], 1.0, dataset[0].n_tokens)
 
 
 class TestLogprob:
@@ -148,19 +166,19 @@ class TestLogprob:
             utt = dataset[int(rng.integers(len(dataset)))]
             t = float(rng.uniform(0, utt.duration_s))
             n = int(rng.integers(utt.n_tokens))
-            assert np.exp(oracle.logprob(utt, t, n)).sum() == pytest.approx(1.0, abs=1e-9)
+            assert np.exp(logprob(oracle, utt, t, n)).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_full_audio_entry_matches_prob(self, oracle, dataset):
         utt = dataset[2]
-        lp = oracle.logprob(utt, utt.duration_s, 1)
-        expected = math.log(oracle.correct_token_prob(utt, utt.duration_s, 1))
+        lp = logprob(oracle, utt, utt.duration_s, 1)
+        expected = math.log(correct_token_prob(oracle, utt, utt.duration_s, 1))
         assert lp[int(utt.target_tokens[1])] == pytest.approx(expected, abs=1e-12)
 
     def test_binary_vocab_vector(self):
         cfg = SynthConfig(vocab_size=2, p_min=0.1, p_max=0.9, ramp_s=0.5, rng_seed=0)
         oracle = OracleModel(cfg)
         utt = make_utterance([2.0], 10.0, tokens=[1])
-        lp = oracle.logprob(utt, 2.5, 0)
+        lp = logprob(oracle, utt, 2.5, 0)
         p = 0.1 + 0.8 * sigmoid(1.0)
         np.testing.assert_allclose(lp, [math.log(1 - p), math.log(p)], atol=1e-12)
 
@@ -168,13 +186,13 @@ class TestLogprob:
         utt = dataset[3]
         for n in range(utt.n_tokens):
             t = utt.duration_s
-            assert oracle.correct_token_prob(utt, t, n) > 1 / oracle.config.vocab_size
+            assert correct_token_prob(oracle, utt, t, n) > 1 / oracle.config.vocab_size
             assert oracle.greedy_token(utt, t, n) == int(utt.target_tokens[n])
 
 
 def argmax_token(oracle, utt, t_s, n):
     """The greedy decode as first written: argmax of the full log-probability vector."""
-    return int(np.argmax(oracle.logprob(utt, t_s, n)))
+    return int(np.argmax(logprob(oracle, utt, t_s, n)))
 
 
 @st.composite
@@ -213,7 +231,7 @@ class TestGreedyTokens:
     def test_exact_tie_decodes_token_zero(self, target):
         oracle = OracleModel(SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4))
         utt = make_utterance([1.0], 2.0, tokens=[target])
-        p = oracle.correct_token_prob(utt, 1.0, 0)
+        p = correct_token_prob(oracle, utt, 1.0, 0)
         assert p == 0.25 and math.log(p) == math.log((1.0 - p) / 3)
         assert oracle.greedy_tokens(utt, [1.0], [0]) == [0] == [argmax_token(oracle, utt, 1.0, 0)]
 
@@ -254,12 +272,20 @@ class TestInfoGain:
         expected = math.log(p_full) - math.log(p_now)
         assert oracle.true_info_gain(utt, 1.5, 0) == pytest.approx(expected, abs=1e-12)
 
-    def test_vectorized_matches_scalar(self, oracle, dataset):
-        utt = dataset[5]
-        grid = oracle.frame_grid(utt)[:10]
-        many = oracle.info_gain_many(utt, grid, np.zeros(len(grid), dtype=np.int64))
-        single = [oracle.true_info_gain(utt, float(t), 0) for t in grid]
-        np.testing.assert_allclose(many, single, atol=1e-12)
+
+@settings(max_examples=200, deadline=None)
+@given(case=decode_cases())
+def test_views_equal_one_element_batches(case):
+    # features, greedy_token and true_info_gain check their state, then call
+    # their batched kernel on one element: nothing may differ, not even a bit
+    oracle, utt, times, tokens = case
+    for t, n in zip(times, tokens):
+        np.testing.assert_array_equal(oracle.features(utt, t, n), oracle.features_many(utt, [t], [n])[0])
+        assert oracle.greedy_token(utt, t, n) == oracle.greedy_tokens(utt, [t], [n])[0]
+        gain = oracle.true_info_gain(utt, t, n)
+        assert type(gain) is float and gain == oracle.info_gain_many(utt, [t], [n])[0]
+    np.testing.assert_array_equal(oracle.info_gain_many(utt, times, tokens),
+                                  [oracle.true_info_gain(utt, t, n) for t, n in zip(times, tokens)])
 
 
 class TestFeatures:
@@ -412,7 +438,7 @@ class TestKernelAgainstClosedForm:
         n = data.draw(st.integers(0, utt.n_tokens - 1))
         prob, evidence = closed_form(cfg, utt, t, n)
         full, _ = closed_form(cfg, utt, utt.duration_s, n)
-        assert oracle.correct_token_prob(utt, t, n) == pytest.approx(prob, rel=1e-12, abs=1e-15)
+        assert correct_token_prob(oracle, utt, t, n) == pytest.approx(prob, rel=1e-12, abs=1e-15)
         assert oracle.true_info_gain(utt, t, n) == pytest.approx(math.log(full) - math.log(prob), abs=1e-12)
         assert evidence_of(oracle, oracle.features(utt, t, n)) == pytest.approx(evidence, abs=1e-12)
 

@@ -15,7 +15,7 @@ from simulgain.policy import (
     params_to_vector,
     time_embedding,
 )
-from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, Utterance, generate_dataset
+from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, Utterance, generate_dataset, oracle_states
 from simulgain.training import (
     TrainConfig,
     grad_check,
@@ -102,10 +102,9 @@ class TestSampleBatch:
         for i in range(len(batch)):
             t, n, t_star = float(batch.t_audio[i]), int(batch.token_index[i]), batch.t_star[i]
             utt = next(u for u in dataset if n < u.n_tokens and abs(u.boundaries_s[n] - t_star) < 1e-12)
-            assert np.exp(batch.label_partial_logp[i]) == pytest.approx(
-                oracle.correct_token_prob(utt, t, n), abs=1e-12)
-            assert np.exp(batch.label_full_logp[i]) == pytest.approx(
-                oracle.correct_token_prob(utt, utt.duration_s, n), abs=1e-12)
+            p_now, p_full = oracle_states(cfg, [t, utt.duration_s], utt.boundaries_s[[n, n]])[0]
+            assert np.exp(batch.label_partial_logp[i]) == pytest.approx(p_now, abs=1e-12)
+            assert np.exp(batch.label_full_logp[i]) == pytest.approx(p_full, abs=1e-12)
             np.testing.assert_allclose(batch.features[i], oracle.features(utt, t, n), rtol=0, atol=1e-12)
             n_next = min(n + 1, utt.n_tokens - 1)
             np.testing.assert_allclose(batch.features_next[i], oracle.features(utt, t, n_next), rtol=0, atol=1e-12)
@@ -193,8 +192,12 @@ class TestTrain:
         cfg, oracle, dataset = env
         pc = policy_config(PolicyVariant.REINA, cfg)
         tc = TrainConfig(steps=5, batch_size=16, rng_seed=0)
+        with pytest.raises(ConfigError, match="lambda_l2: must be finite"):
+            LossWeights(lambda_l2=math.inf)
+        weights = LossWeights()
+        object.__setattr__(weights, "lambda_l2", math.inf)  # past the setting check, to reach train's own
         with pytest.raises(NumericError, match="l2 loss at step 0"):
-            train(oracle, dataset, pc, tc, LossWeights(lambda_l2=float("inf")))
+            train(oracle, dataset, pc, tc, weights)
 
     def test_csv_round_trip(self, env, tmp_path):
         cfg, oracle, dataset = env
