@@ -37,43 +37,43 @@ from .synth import OracleModel, SynthConfig, generate_dataset, load_dataset, sav
 from .training import TrainConfig, train, write_training_csv
 
 
-_PATHS = ("dataset", "checkpoint", "out_dir")  # grouped under "paths" in the config file
 _POLICY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PolicyConfig)}
 
 
-@dataclass
-class ExperimentConfig:
-    """Every setting of a command; the config file's keys are these field names.
+@dataclass(frozen=True)
+class Paths:
+    """Where a command reads and writes; relative paths resolve against the working directory."""
 
-    A section (a field whose default is built by its class) may be given as
-    a dict of its fields, and other values as JSON reads them;
-    ``__post_init__`` checks and converts them.
-    """
-
-    synth: SynthConfig = field(default_factory=SynthConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    loss: LossWeights = field(default_factory=LossWeights)
-    stream: StreamConfig = field(default_factory=StreamConfig)
-    hidden_dims: tuple[int, ...] = _POLICY_DEFAULTS["hidden_dims"]
-    time_base: float = _POLICY_DEFAULTS["time_base"]
-    count: int = 100
-    alphas: tuple[Threshold, ...] = ()
-    band: LatencyBand | None = None
-    report_bins: int = 10
     dataset: str = "dataset.jsonl"
     checkpoint: str = "policy.ckpt"
     out_dir: str = "out"
 
     def __post_init__(self):
         check_settings(self)
-        for f in dataclasses.fields(self):
-            section, value = f.default_factory, getattr(self, f.name)
-            if section is not dataclasses.MISSING and not isinstance(value, section):
-                require(isinstance(value, dict), f.name, "must be a JSON object")
-                known = {g.name for g in dataclasses.fields(section)}
-                for key in value:
-                    require(key in known, f"{f.name}.{key}", "unknown field")
-                setattr(self, f.name, section(**value))
+
+
+@dataclass
+class ExperimentConfig:
+    """Every setting of a command; the config file's keys are these field names.
+
+    Values arrive as JSON reads them, a section as a dict of its fields;
+    ``__post_init__`` checks and converts them by their declared types.
+    """
+
+    synth: SynthConfig = field(default_factory=SynthConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    loss: LossWeights = field(default_factory=LossWeights)
+    stream: StreamConfig = field(default_factory=StreamConfig)
+    paths: Paths = field(default_factory=Paths)
+    hidden_dims: tuple[int, ...] = _POLICY_DEFAULTS["hidden_dims"]
+    time_base: float = _POLICY_DEFAULTS["time_base"]
+    count: int = 100
+    alphas: tuple[Threshold, ...] = ()
+    band: LatencyBand | None = None
+    report_bins: int = 10
+
+    def __post_init__(self):
+        check_settings(self)
         if self.band is not None:
             try:
                 self.band = LatencyBand(*setting(self.band, tuple[float, float], "band"))
@@ -91,29 +91,20 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
             raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - set(_PATHS) | {"paths"}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in data:
         require(key in known, key, "unknown config section")
-    try:
-        paths = data.pop("paths", {})
-        require(isinstance(paths, dict), "paths", "must be a JSON object")
-        for key in paths:
-            require(key in _PATHS, f"paths.{key}", "unknown field")
-        cfg = ExperimentConfig(**data, **paths)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong JSON type or text
-        raise ConfigError(f"config file {path}: {exc}") from None
+    cfg = ExperimentConfig(**data)
     if seed is not None:
         cfg.synth = dataclasses.replace(cfg.synth, rng_seed=seed)
         cfg.train = dataclasses.replace(cfg.train, rng_seed=seed)
     if out_dir is not None:
-        cfg.out_dir = out_dir
+        cfg.paths = dataclasses.replace(cfg.paths, out_dir=out_dir)
     return cfg
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
+    out = Path(cfg.paths.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -125,12 +116,12 @@ def _synth_record(synth: SynthConfig) -> dict:
 
 def _load_dataset(cfg: ExperimentConfig):
     """The dataset, with every token id checked against the oracle's vocabulary."""
-    dataset = load_dataset(cfg.dataset)
+    dataset = load_dataset(cfg.paths.dataset)
     vocab = cfg.synth.vocab_size
     for utt in dataset:
         top = int(utt.target_tokens.max())
         if top >= vocab:
-            raise ConfigError(f"dataset {cfg.dataset}: utterance {utt.id}: token id {top} "
+            raise ConfigError(f"dataset {cfg.paths.dataset}: utterance {utt.id}: token id {top} "
                               f"is not below synth.vocab_size {vocab}")
     return dataset
 
@@ -141,18 +132,18 @@ def _stream_inputs(cfg: ExperimentConfig):
     The checkpoint must have been trained against the oracle ``cfg.synth``
     builds: the same feature width and the same recorded synth config.
     """
-    dataset = _load_dataset(cfg)
-    params, extra = load_params(cfg.checkpoint)
+    dataset, checkpoint = _load_dataset(cfg), cfg.paths.checkpoint
+    params, extra = load_params(checkpoint)
     if params.config.input_dim != cfg.synth.feature_dim:
-        raise ConfigError(f"checkpoint {cfg.checkpoint}: input_dim {params.config.input_dim} does not match "
+        raise ConfigError(f"checkpoint {checkpoint}: input_dim {params.config.input_dim} does not match "
                           f"synth.feature_dim {cfg.synth.feature_dim}")
     if not isinstance(extra.get("synth"), dict):
-        raise ConfigError(f"checkpoint {cfg.checkpoint}: records no synth config; retrain it")
+        raise ConfigError(f"checkpoint {checkpoint}: records no synth config; retrain it")
     trained, ours = extra["synth"], _synth_record(cfg.synth)
     differing = [f"{key} {trained.get(key)!r} in the checkpoint, {ours.get(key)!r} in the config"
                  for key in sorted(set(trained) | set(ours)) if trained.get(key) != ours.get(key)]
     if differing:
-        raise ConfigError(f"checkpoint {cfg.checkpoint}: trained on another synth config: {'; '.join(differing)}")
+        raise ConfigError(f"checkpoint {checkpoint}: trained on another synth config: {'; '.join(differing)}")
     return dataset, OracleModel(cfg.synth), params, extra
 
 
@@ -160,31 +151,28 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     count = args.count if args.count is not None else cfg.count
     utterances = generate_dataset(cfg.synth, count)
-    save_dataset(utterances, cfg.dataset)
-    print(f"wrote {len(utterances)} utterances (seed {cfg.synth.rng_seed}) -> {cfg.dataset}")
+    save_dataset(utterances, cfg.paths.dataset)
+    print(f"wrote {len(utterances)} utterances (seed {cfg.synth.rng_seed}) -> {cfg.paths.dataset}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
-    if args.variant is not None:
-        cfg.train = dataclasses.replace(cfg.train, variant=PolicyVariant(args.variant))
-    if args.steps is not None:
-        cfg.train = dataclasses.replace(cfg.train, steps=args.steps)
-    if args.objective is not None:
-        cfg.train = dataclasses.replace(cfg.train, objective=args.objective)
+    for name in ("variant", "steps", "objective"):
+        if getattr(args, name) is not None:
+            cfg.train = dataclasses.replace(cfg.train, **{name: getattr(args, name)})
     dataset = _load_dataset(cfg)
     variant = cfg.train.variant
     pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim, hidden_dims=cfg.hidden_dims,
                                      time_base=cfg.time_base)
     report = train(OracleModel(cfg.synth), dataset, pconf, cfg.train, cfg.loss)
-    save_params(report.params, cfg.checkpoint, extra={"variant": variant.value, "objective": cfg.train.objective,
-                                                      "synth": _synth_record(cfg.synth)})
+    extra = {"variant": variant.value, "objective": cfg.train.objective, "synth": _synth_record(cfg.synth)}
+    save_params(report.params, cfg.paths.checkpoint, extra=extra)
     out = _out_dir(cfg)
     write_training_csv(report, out / "training.csv")
     last = report.records[-1]
     print(f"trained {variant.value} for {cfg.train.steps} steps: "
-          f"loss {last.loss_total:.6f} -> {cfg.checkpoint}")
+          f"loss {last.loss_total:.6f} -> {cfg.paths.checkpoint}")
     return 0
 
 
@@ -221,7 +209,7 @@ def cmd_sweep(args) -> int:
     for i, alpha in enumerate(alphas):
         save_logs(logs_by_alpha[alpha], out / f"logs_{i:02d}.jsonl")
     meta = {"variant": extra.get("variant", "UNKNOWN"), "alphas": list(alphas),
-            "dataset": str(cfg.dataset), "checkpoint": str(cfg.checkpoint)}
+            "dataset": cfg.paths.dataset, "checkpoint": cfg.paths.checkpoint}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
                                    encoding="utf-8")
     for p in points:

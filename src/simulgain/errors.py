@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the setting checks and input-file parsers that raise them."""
 
 import dataclasses
+import enum
 import functools
 import math
 import numbers
@@ -70,9 +71,12 @@ def require(condition: bool, field: str, message: str) -> None:
 
 def number_setting(value, field: str) -> float:
     """``value`` as a float if it is a number other than NaN (+-inf passes), else ConfigError naming ``field``."""
-    require(not isinstance(value, bool) and isinstance(value, numbers.Real) and value == value,
-            field, f"must be a number and not NaN, got {value!r}")
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+        raise ConfigError(f"{field}: must be a number and not NaN, got {value!r}")  # not require(): no repr per call
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer with hundreds of digits
+        raise ConfigError(f"{field}: must fit in a float") from None
 
 
 def integer_setting(value, field: str) -> int:
@@ -82,37 +86,52 @@ def integer_setting(value, field: str) -> int:
 
 
 def setting(value, kind, field: str):
-    """``value`` as the declared type ``kind``: int, float, Threshold, or a tuple of them."""
+    """``value`` as the declared type ``kind``, else ConfigError naming ``field``; never coerced.
+
+    ``kind`` is int, float (finite), Threshold (a float that may be +-inf), str,
+    bool, an Enum of strings, a settings dataclass (a section, given as a JSON
+    object of its fields), or a tuple of these such as ``tuple[float, float]``.
+    """
     if kind is int:
         return integer_setting(value, field)
     if kind in (float, Threshold):
         number = number_setting(value, field)
-        require(kind is Threshold or math.isfinite(number), field, f"must be finite, got {number!r}")
+        if kind is not Threshold and not math.isfinite(number):
+            raise ConfigError(f"{field}: must be finite, got {number!r}")
         return number
+    if kind in (str, bool):
+        require(isinstance(value, kind), field, "must be a string" if kind is str else "must be true or false")
+        return value
+    if isinstance(kind, enum.EnumMeta):
+        names = [member.value for member in kind]
+        require(isinstance(value, str) and value in names, field, f"must be one of {', '.join(names)}")
+        return kind(value)
+    if dataclasses.is_dataclass(kind):
+        if isinstance(value, kind):
+            return value
+        require(isinstance(value, dict), field, "must be a JSON object")
+        known = {f.name for f in dataclasses.fields(kind)}
+        for key in value:
+            require(key in known, f"{field}.{key}", "unknown field")
+        return kind(**value)
     require(isinstance(value, (list, tuple)), field, "must be a list")
     kinds = typing.get_args(kind)
     if kinds[-1] is Ellipsis:
         kinds = kinds[:1] * len(value)
     require(len(value) == len(kinds), field, f"must have {len(kinds)} items")
-    return tuple(setting(v, k, field) for v, k in zip(value, kinds))
+    return tuple([setting(v, k, field) for v, k in zip(value, kinds)])
 
 
 @functools.cache
-def _numeric_fields(cls) -> tuple:
-    """(name, type) of each field of ``cls`` declared int, float, Threshold or a tuple of them."""
+def _setting_fields(cls) -> tuple:
+    """(name, type) of each field of ``cls`` whose declared type :func:`setting` checks."""
     types = typing.get_type_hints(cls)
-    return tuple((f.name, types[f.name]) for f in dataclasses.fields(cls)
-                 if types[f.name] in (int, float, Threshold) or typing.get_origin(types[f.name]) is tuple)
+    return tuple((f.name, kind) for f in dataclasses.fields(cls)
+                 if (kind := types[f.name]) in (int, float, Threshold, str, bool) or typing.get_origin(kind) is tuple
+                 or isinstance(kind, enum.EnumMeta) or dataclasses.is_dataclass(kind))
 
 
 def check_settings(settings) -> None:
-    """Convert each number and tuple field of a settings dataclass to its declared type, in place.
-
-    The one rule for every number setting: a float field takes a finite
-    number, a Threshold field a number other than NaN, an int field an
-    integer, and a tuple field a list of those, as many as a fixed-arity
-    tuple such as ``tuple[float, float]`` declares.  A bool, a string or
-    None is refused, never coerced.
-    """
-    for name, kind in _numeric_fields(type(settings)):
+    """The one rule for every setting: convert each field that :func:`setting` checks to its type, in place."""
+    for name, kind in _setting_fields(type(settings)):
         object.__setattr__(settings, name, setting(getattr(settings, name), kind, name))

@@ -176,7 +176,7 @@ def latency_vs_position(logs, dataset, bins: int) -> list[BinStat]:
     """
     if bins < 1:
         raise MetricError("bins must be >= 1")
-    by_id = dataset if isinstance(dataset, dict) else {u.id: u for u in dataset}
+    by_id = {u.id: u for u in dataset}
     positions, lateness = [], []
     for log in logs:
         utt = by_id.get(log.utt_id)

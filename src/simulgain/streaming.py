@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Threshold, check_settings, integer_setting, number_setting, parse_lines, require, token_ids
+from .errors import Threshold, check_settings, integer_setting, number_setting, parse_lines, require, setting, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
@@ -224,9 +224,10 @@ def emission_log_from_json(line: str) -> EmissionLog:
     tokens, n_forced = token_ids(record["tokens"], "tokens"), record["forced_tail"]
     if type(n_forced) is not int or not 0 <= n_forced <= len(tokens):
         raise ValueError("forced_tail: must be an integer from 0 to the number of tokens")
-    return EmissionLog(utt_id=record["utt_id"], tokens=tokens,
-                       delays_s=record["delays_s"], duration_s=record["T"],
-                       n_forced=n_forced, truncated=record.get("truncated", False))
+    return EmissionLog(utt_id=setting(record["utt_id"], str, "utt_id"), tokens=tokens,
+                       delays_s=list(setting(record["delays_s"], tuple[float, ...], "delays_s")),
+                       duration_s=setting(record["T"], float, "T"),
+                       n_forced=n_forced, truncated=setting(record.get("truncated", False), bool, "truncated"))
 
 
 def save_logs(logs, path) -> None:

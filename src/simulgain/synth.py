@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_settings, integer_setting, number_setting, parse_lines, require, token_ids
+from .errors import check_settings, integer_setting, number_setting, parse_lines, require, setting, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -138,6 +138,7 @@ class Utterance:
     aligned: bool = True
 
     def __post_init__(self):
+        check_settings(self)
         self.target_tokens = np.asarray(self.target_tokens, dtype=np.int64)
         self.boundaries_s = np.asarray(self.boundaries_s, dtype=np.float64)
         self.ambiguous_mask = np.asarray(self.ambiguous_mask, dtype=bool)
@@ -146,8 +147,8 @@ class Utterance:
             raise ValueError(f"utterance {self.id}: needs at least one token")
         if self.boundaries_s.shape[0] != n or self.ambiguous_mask.shape[0] != n:
             raise ValueError(f"utterance {self.id}: per-token arrays disagree on length")
-        if not (math.isfinite(self.duration_s) and np.isfinite(self.boundaries_s).all()):
-            raise ValueError(f"utterance {self.id}: duration_s and boundaries must be finite")
+        if not np.isfinite(self.boundaries_s).all():
+            raise ValueError(f"utterance {self.id}: boundaries must be finite")
         if np.any(np.diff(self.boundaries_s) <= 0):
             raise ValueError(f"utterance {self.id}: boundaries must be strictly increasing")
         if self.boundaries_s[0] <= 0 or self.boundaries_s[-1] > self.duration_s:
@@ -356,8 +357,8 @@ def utterance_from_json(line: str) -> Utterance:
         id=record["id"],
         duration_s=record["duration_s"],
         target_tokens=token_ids(record["tokens"], "tokens"),
-        boundaries_s=record["boundaries_s"],
-        ambiguous_mask=record["ambiguous"],
+        boundaries_s=setting(record["boundaries_s"], tuple[float, ...], "boundaries_s"),
+        ambiguous_mask=setting(record["ambiguous"], tuple[bool, ...], "ambiguous"),
         aligned=record["aligned"],
     )
 

@@ -55,7 +55,6 @@ class TrainConfig:
 
     def __post_init__(self):
         check_settings(self)
-        object.__setattr__(self, "variant", PolicyVariant(self.variant))
         require(self.batch_size >= 2, "batch_size", "must be >= 2 (label normalization needs a batch)")
         require(self.steps >= 1, "steps", "must be >= 1")
         require(self.lr >= 0, "lr", "must be >= 0")
@@ -94,8 +93,8 @@ class LabeledBatch:
     token_index: np.ndarray
     label_partial_logp: np.ndarray
     label_full_logp: np.ndarray
-    t_star: np.ndarray
-    aligned: np.ndarray
+    t_star: np.ndarray  # the pending token's boundary, in every row
+    aligned: np.ndarray  # whether its utterance's boundaries supervise the alignment term
     features_next: np.ndarray
     next_valid: np.ndarray
 
@@ -142,8 +141,8 @@ def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
         token_index=n,
         label_partial_logp=label_partial,
         label_full_logp=np.log(prob[2 * b:]),
-        t_star=np.where(idx.aligned[u], idx.flat_boundaries[flat[:b]], np.nan),
-        aligned=idx.aligned[u].copy(),
+        t_star=idx.flat_boundaries[flat[:b]],
+        aligned=idx.aligned[u],
         features_next=mixed[b:],
         next_valid=next_valid,
     )
@@ -274,13 +273,6 @@ class _FlatHead:
         return float(np.sqrt(sum(float(a.sum()) for a in self._square_views)))
 
 
-def _alignment_arrays(batch: LabeledBatch, weights: LossWeights):
-    mask = batch.aligned & np.isfinite(batch.t_star)
-    safe_star = np.where(mask, batch.t_star, 0.0)
-    targets = np.where(mask, align_target(batch.t_audio, safe_star, weights.tau), 0.0)
-    return targets, mask
-
-
 def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
           train_config: TrainConfig, loss_weights: LossWeights) -> TrainReport:
     """Optimize the policy head; deterministic given the config seeds.
@@ -305,7 +297,8 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
         batch = sample_batch(dataset, oracle, train_config, rng, index=index)
         targets = mask = None
         if variant.uses_alignment_loss:
-            targets, mask = _alignment_arrays(batch, loss_weights)
+            mask = batch.aligned
+            targets = np.where(mask, align_target(batch.t_audio, batch.t_star, loss_weights.tau), 0.0)
         try:
             breakdown = head.loss_and_param_grad(
                 loss_weights, train_config.objective, batch.features,
@@ -360,7 +353,6 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
     The relative error divides by max(|analytic|, |numeric|, 0.01), so tiny
     coordinates are held to a matching absolute tolerance.
     """
-    variant = PolicyVariant(variant)
     variant.check(policy_config)
     rng = np.random.default_rng([seed, _CHECK_STREAM])
     batch = 16

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -11,7 +12,6 @@ from simulgain.cli import ExperimentConfig, main
 from simulgain.errors import Threshold
 from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params
-from simulgain.streaming import StreamConfig
 from simulgain.synth import OracleModel, SynthConfig, load_dataset
 from simulgain.training import TrainConfig
 
@@ -72,6 +72,9 @@ class TestGen:
         ('{"band": [5, 1]}', "band: latency band needs 0 <= x < y, got [5.0, 1.0]"),
         ('{"band": [-1, 2]}', "band: latency band needs 0 <= x < y, got [-1.0, 2.0]"),
         ('{"synth": {"vocab_size": "50"}}', "vocab_size: must be an integer"),
+        ('{"paths": {"dataset": 5}}', "dataset: must be a string"),
+        ('{"train": {"variant": 5}}', "variant: must be one of REINA, REINA_TAN, REINA_SAN, REINA_ALL"),
+        ('{"paths": {"output": "o"}}', "paths.output: unknown field"),
     ]])
     def test_config_value_of_the_wrong_type_is_config_error(self, tmp_path, text, message, capsys):
         bad = tmp_path / "bad.json"
@@ -299,29 +302,32 @@ def test_non_integer_setting_is_config_error(workspace, capsys, command, setting
     assert (dataset.read_bytes() if dataset.exists() else None) == before
 
 
-def _number_settings():
-    """(section or None, field, declared type, default) of every number setting of a config file.
+def _settings():
+    """(section or None, field, declared type, default) of every setting of a config file.
 
-    Section fields are found by their declared types, so a new int, float,
-    Threshold or tuple field is covered without a new case; ``band`` is a pair.
+    Fields are found by their declared types, so a new field or section is
+    covered without a new case.  A section is a setting too, with no
+    default here; ``band`` is a pair.
     """
-    for section, cls in (("synth", SynthConfig), ("train", TrainConfig), ("loss", LossWeights),
-                         ("stream", StreamConfig)):
-        types = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            kind = types[f.name]
-            if kind in (int, float, Threshold) or typing.get_origin(kind) is tuple:
-                yield section, f.name, kind, f.default
-    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     types = typing.get_type_hints(ExperimentConfig)
-    for name in ("time_base", "alphas", "count", "report_bins", "hidden_dims"):
-        yield None, name, types[name], defaults[name]
-    yield None, "band", tuple[float, float], (0.5, 4.0)
+    for f in dataclasses.fields(ExperimentConfig):
+        kind = types[f.name]
+        if dataclasses.is_dataclass(kind):
+            yield None, f.name, kind, None
+            section_types = typing.get_type_hints(kind)
+            for g in dataclasses.fields(kind):
+                yield f.name, g.name, section_types[g.name], g.default
+        elif f.name == "band":
+            yield None, "band", tuple[float, float], (0.5, 4.0)
+        else:
+            yield None, f.name, kind, f.default
 
 
 def _bad_number_cases():
-    for section, name, kind, default in _number_settings():
+    for section, name, kind, default in _settings():
         item = typing.get_args(kind)[0] if typing.get_origin(kind) is tuple else kind
+        if item not in (int, float, Threshold):
+            continue
         bad_values = {"str": "1", "bool": True, "null": None}
         if item is not int:
             bad_values["nan"] = NAN
@@ -360,6 +366,64 @@ def test_number_setting_that_is_no_number_is_config_error(workspace, capsys, set
     assert main(["gen", "--config", str(cfg_path), "--out", str(tmp / "num")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp / "num").exists() and not (tmp / "data.jsonl").exists()
+
+
+JSON_VALUES = {"string": "x", "number": 2, "bool": True, "null": None, "list": [], "object": {}}
+
+
+def _refusal(kind, value):
+    """The JSON type a setting of ``kind`` takes (None if no value of JSON_VALUES is valid), and the refusal."""
+    if kind in (int, float, Threshold):
+        return "number", "must be an integer" if kind is int else f"must be a number and not NaN, got {value!r}"
+    if kind in (str, bool):
+        return ("string", "must be a string") if kind is str else ("bool", "must be true or false")
+    if isinstance(kind, enum.EnumMeta):  # "x" is no member either
+        return None, f"must be one of {', '.join(member.value for member in kind)}"
+    return ("list", "must be a list") if typing.get_origin(kind) is tuple else ("object", "must be a JSON object")
+
+
+def _refused_type_cases():
+    for section, name, kind, _ in _settings():
+        for label, value in JSON_VALUES.items():
+            accepted, message = _refusal(kind, value)
+            if label != accepted and (name, label) != ("band", "null"):  # a null band is no band
+                yield pytest.param(section, name, value, f"{name}: {message}",
+                                   id=f"{section + '.' if section else ''}{name}-{label}")
+
+
+def test_refused_type_cases_cover_every_kind():
+    ids = {case.id for case in _refused_type_cases()}
+    assert {"paths-string", "paths.dataset-number", "train.variant-string", "train.variant-number",
+            "train.objective-null", "count-list", "alphas-object", "synth.frame_ms-bool"} <= ids
+    assert not {"paths.dataset-string", "band-null", "synth-object", "hidden_dims-list"} & ids
+
+
+@pytest.mark.parametrize("section, name, value, message", _refused_type_cases())
+def test_setting_of_a_refused_json_type_is_config_error(workspace, capsys, section, name, value, message):
+    # every field, sections included, takes one JSON type; any other is refused by name, never coerced
+    tmp, cfg_path, config = workspace
+    if section:
+        config[section] = {**config.get(section, {}), name: value}
+    else:
+        config[name] = value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp / "typ")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp / "typ").exists() and not (tmp / "data.jsonl").exists()
+
+
+@pytest.mark.parametrize("setting, field", [({"synth": {"frame_ms": 10**400}}, "frame_ms"),
+                                            ({"alphas": [10**400]}, "alphas"),
+                                            ({"train": {"adam_betas": [0.9, 10**400]}}, "adam_betas")],
+                         ids=["float", "threshold", "tuple-item"])
+def test_integer_too_large_for_a_float_is_config_error(workspace, capsys, setting, field):
+    tmp, cfg_path, config = workspace
+    for key, value in setting.items():
+        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen", "--config", str(cfg_path)]) == 2
+    assert f"config error: {field}: must fit in a float" in capsys.readouterr().err
+    assert not (tmp / "data.jsonl").exists()
 
 
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):

@@ -198,13 +198,42 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("name, old, new", NON_FINITE)
-def test_non_finite_number_is_config_error(folder, name, old, new):
+# A value of a JSON type its field does not take, or a number no float can hold.  A string id or a
+# bool flag is never coerced: "no" is not false, and 2 is not true.
+WRONG_TYPE = [
+    ("dataset", '"id":"u-1"', '"id":5'),
+    ("dataset", '"duration_s":2.05', '"duration_s":"2.05"'),
+    ("dataset", '"aligned":true', '"aligned":"no"'),
+    ("dataset", '"aligned":true', '"aligned":1'),
+    ("dataset", '"ambiguous":[false,true,false]', '"ambiguous":[2,0,false]'),
+    ("dataset", '[0.5,1.25,', '["0.5",1.25,'),
+    pytest.param("dataset", '[0.5,1.25,', '[0.5,1' + '0' * 400 + ',', id="dataset-boundary-of-401-digits"),
+    ("emission_logs", '"utt_id":"u-1"', '"utt_id":5'),
+    ("emission_logs", '[0.25,0.5,', '["0.25",0.5,'),
+    ("emission_logs", '"T":1.5', '"T":true'),
+    ("emission_logs", '"read_loop":false,"truncated":false', '"read_loop":false,"truncated":"no"'),
+    ("emission_logs", '"read_loop":false,"truncated":false', '"read_loop":false,"truncated":0'),
+    ("checkpoint", '"use_time_embedding":true', '"use_time_embedding":"no"'),
+]
+
+
+def check_replaced(folder, name, old, new):
+    """An EXAMPLES file with its one ``old`` text replaced by ``new`` must raise ConfigError naming it."""
     _, save, load, _ = FORMATS[name]
-    path = folder / f"{name}.nonfinite"
+    path = folder / f"{name}.replaced"
     save(EXAMPLES[name], path)
     blob = path.read_bytes()
     assert blob.count(old.encode()) == 1
     path.write_bytes(blob.replace(old.encode(), new.encode()))
     with pytest.raises(ConfigError, match=re.escape(str(path))):
         load(path)
+
+
+@pytest.mark.parametrize("name, old, new", NON_FINITE)
+def test_non_finite_number_is_config_error(folder, name, old, new):
+    check_replaced(folder, name, old, new)
+
+
+@pytest.mark.parametrize("name, old, new", WRONG_TYPE)
+def test_value_of_the_wrong_type_is_config_error(folder, name, old, new):
+    check_replaced(folder, name, old, new)
