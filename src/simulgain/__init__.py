@@ -7,9 +7,7 @@ from .losses import (
     batch_normalize,
     bce_align_loss,
     cov_loss,
-    l2_loss,
     loss_and_grad,
-    mse_label_loss,
     total_loss,
     total_loss_grad,
 )

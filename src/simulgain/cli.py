@@ -27,6 +27,7 @@ from .metrics import (
     latency_vs_position,
     nose,
     read_pareto_csv,
+    write_csv,
     write_latency_bins_csv,
     write_nose_csv,
     write_pareto_csv,
@@ -253,12 +254,11 @@ def cmd_report(args) -> int:
 
     utt = dataset[0]
     grid = oracle.frame_grid(utt)
-    lines = ["t_s,token_index,info_gain"]
+    rows = []
     for n in range(utt.n_tokens):
         gains = oracle.info_gain_many(utt, grid, np.full(grid.shape[0], n, dtype=np.int64))
-        for t, g in zip(grid, gains):
-            lines.append(f"{repr(float(t))},{n},{repr(float(g))}")
-    (out / "info_gain_grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.extend((t, n, g) for t, g in zip(grid, gains))
+    write_csv(out / "info_gain_grid.csv", ("t_s", "token_index", "info_gain"), rows)
 
     print(f"offline quality (full-audio BLEU): {offline:.2f}")
     for variant, band, value in nose_rows:

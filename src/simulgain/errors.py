@@ -53,13 +53,13 @@ def parse_lines(path, parse, kind: str, first: int = 1) -> list:
 
 
 def token_ids(values, field: str) -> list:
-    """``values`` if it is a list of nonnegative JSON integers, else ValueError naming ``field``.
+    """``values`` if it is a list of nonnegative JSON integers below 2**63, else ValueError naming ``field``.
 
     Token ids are written as integers; a parser that let ``3.5`` or ``-1``
-    through would truncate or wrap it silently.
+    through would truncate or wrap it silently, and numpy holds none beyond int64.
     """
-    if not isinstance(values, list) or not all(type(v) is int and v >= 0 for v in values):
-        raise ValueError(f"{field}: must be a list of nonnegative integers")
+    if not isinstance(values, list) or not all(type(v) is int and 0 <= v < 2**63 for v in values):
+        raise ValueError(f"{field}: must be a list of nonnegative 64-bit integers")
     return values
 
 
@@ -69,33 +69,24 @@ def require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def number_setting(value, field: str) -> float:
-    """``value`` as a float if it is a number other than NaN (+-inf passes), else ConfigError naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
-        raise ConfigError(f"{field}: must be a number and not NaN, got {value!r}")  # not require(): no repr per call
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer with hundreds of digits
-        raise ConfigError(f"{field}: must fit in a float") from None
-
-
-def integer_setting(value, field: str) -> int:
-    """``value`` as an int if it is an integer, else ConfigError naming ``field``; ``16.5`` is never truncated."""
-    require(not isinstance(value, bool) and isinstance(value, numbers.Integral), field, "must be an integer")
-    return int(value)
-
-
 def setting(value, kind, field: str):
     """``value`` as the declared type ``kind``, else ConfigError naming ``field``; never coerced.
 
-    ``kind`` is int, float (finite), Threshold (a float that may be +-inf), str,
+    ``kind`` is int (64-bit), float (finite), Threshold (a float that may be +-inf), str,
     bool, an Enum of strings, a settings dataclass (a section, given as a JSON
     object of its fields), or a tuple of these such as ``tuple[float, float]``.
     """
-    if kind is int:
-        return integer_setting(value, field)
+    if kind is int:  # 16.5 is never truncated, and numpy takes no int beyond int64
+        require(not isinstance(value, bool) and isinstance(value, numbers.Integral), field, "must be an integer")
+        require(-2**63 <= value < 2**63, field, "must fit in a 64-bit integer")
+        return int(value)
     if kind in (float, Threshold):
-        number = number_setting(value, field)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != value:
+            raise ConfigError(f"{field}: must be a number and not NaN, got {value!r}")  # not require(): no repr per call
+        try:
+            number = float(value)
+        except OverflowError:  # a JSON integer with hundreds of digits
+            raise ConfigError(f"{field}: must fit in a float") from None
         if kind is not Threshold and not math.isfinite(number):
             raise ConfigError(f"{field}: must be finite, got {number!r}")
         return number

@@ -228,15 +228,21 @@ def spearman(a, b) -> float:
 
 # -- report files ---------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def write_csv(path, columns, rows) -> None:
+    """Write a header of ``columns`` and one line per row, the format of every CSV file here.
+
+    A float cell, numpy's float64 included, is written as ``repr(float(v))``,
+    which reads back to the same bits; any other cell, an int or a string,
+    as ``str(v)``.  Lines end in ``\\n`` and the file is UTF-8.
+    """
+    lines = [",".join(columns)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_pareto_csv(points, path) -> None:
-    lines = ["alpha,laal_s,bleu,read_loop_pct"]
-    for p in points:
-        lines.append(",".join(_fmt(v) for v in (p.alpha, p.mean_laal_s, p.quality, p.read_loop_pct)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ("alpha", "laal_s", "bleu", "read_loop_pct"),
+              ((p.alpha, p.mean_laal_s, p.quality, p.read_loop_pct) for p in points))
 
 
 def _pareto_point(line: str) -> ParetoPoint:
@@ -251,15 +257,11 @@ def read_pareto_csv(path) -> list[ParetoPoint]:
 
 def write_nose_csv(rows, path) -> None:
     """Rows are (variant, LatencyBand, nose_value)."""
-    lines = ["variant,band_x,band_y,nose"]
-    for variant, band, value in rows:
-        lines.append(f"{variant},{_fmt(band.x)},{_fmt(band.y)},{_fmt(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ("variant", "band_x", "band_y", "nose"),
+              ((variant, band.x, band.y, value) for variant, band, value in rows))
 
 
 def write_latency_bins_csv(bins_by_variant: dict, path) -> None:
-    lines = ["variant,bin_center,mean_latency_s,ci_low,ci_high,count"]
-    for variant, stats in bins_by_variant.items():
-        for s in stats:
-            lines.append(f"{variant},{_fmt(s.center)},{_fmt(s.mean)},{_fmt(s.ci_low)},{_fmt(s.ci_high)},{s.count}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ("variant", "bin_center", "mean_latency_s", "ci_low", "ci_high", "count"),
+              ((variant, s.center, s.mean, s.ci_low, s.ci_high, s.count)
+               for variant, stats in bins_by_variant.items() for s in stats))

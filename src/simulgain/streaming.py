@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Threshold, check_settings, integer_setting, number_setting, parse_lines, require, setting, token_ids
+from .errors import Threshold, check_settings, parse_lines, require, setting, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
@@ -82,7 +82,7 @@ class ThresholdPolicy:
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
         self.oracle = oracle
         self.params = params.copy()
-        self.alpha = number_setting(alpha, "alpha")
+        self.alpha = setting(alpha, Threshold, "alpha")
         # id(utt) -> (utt, {t_s: scores by token}); holding the utterance keeps
         # its id from being reused while the table lives
         self._scores: dict[int, tuple[Utterance, dict[float, list[float]]]] = {}
@@ -90,7 +90,7 @@ class ThresholdPolicy:
     def with_alpha(self, alpha: float) -> ThresholdPolicy:
         """This policy at threshold ``alpha``, sharing its params copy and score table."""
         other = copy.copy(self)
-        other.alpha = number_setting(alpha, "alpha")
+        other.alpha = setting(alpha, Threshold, "alpha")
         return other
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
@@ -111,7 +111,7 @@ class GainThresholdPolicy:
 
     def __init__(self, oracle: OracleModel, gain_threshold: float):
         self.oracle = oracle
-        self.gain_threshold = number_setting(gain_threshold, "gain_threshold")
+        self.gain_threshold = setting(gain_threshold, Threshold, "gain_threshold")
         require(self.gain_threshold >= 0 or self.gain_threshold == -math.inf, "gain_threshold",
                 "must be >= 0 (or -inf for always-write)")
 
@@ -123,7 +123,7 @@ class WaitKPolicy:
     """Read k chunks up front, then alternate one write with one read."""
 
     def __init__(self, k: int):
-        self.k = integer_setting(k, "k")
+        self.k = setting(k, int, "k")
         require(self.k >= 0, "k", "must be >= 0")
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
@@ -180,7 +180,7 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     """
     from .metrics import ParetoPoint, bleu, laal, read_loop_pct  # deferred: metrics consumes logs
 
-    alphas = [number_setting(alpha, "alpha") for alpha in alphas]
+    alphas = [setting(alpha, Threshold, "alpha") for alpha in alphas]
     require(len(alphas) > 0, "alphas", "must be non-empty")
     if policy_factory is None:
         require(params is not None, "params", "required unless a policy_factory is given")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_settings, integer_setting, number_setting, parse_lines, require, setting, token_ids
+from .errors import Threshold, check_settings, parse_lines, require, setting, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -268,7 +268,7 @@ class OracleModel:
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
         """Earliest grid time at which waiting is worth at most ``gain_threshold``."""
-        require(number_setting(gain_threshold, "gain_threshold") >= 0, "gain_threshold", "must be >= 0")
+        require(setting(gain_threshold, Threshold, "gain_threshold") >= 0, "gain_threshold", "must be >= 0")
         self._check_state(utt, 0.0, n)
         grid = self.frame_grid(utt)
         gains = self.info_gain_many(utt, grid, np.full(len(grid), n, dtype=np.int64))
@@ -310,7 +310,7 @@ class DatasetIndex:
 
 def generate_dataset(config: SynthConfig, count: int) -> list[Utterance]:
     """Draw ``count`` utterances; byte-reproducible from ``config.rng_seed``."""
-    require(integer_setting(count, "count") >= 1, "count", "must be >= 1")
+    require(setting(count, int, "count") >= 1, "count", "must be >= 1")
     rng = np.random.default_rng([config.rng_seed, _DATASET_STREAM])
     frame = config.frame_s
     lo, hi = config.tokens_per_utt_range

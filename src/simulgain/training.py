@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import NumericError, check_settings, require
 from .losses import LossWeights, align_target, loss_and_grad, total_loss
 from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
+from .metrics import write_csv
 from .policy import (
     PolicyConfig,
     PolicyParams,
@@ -37,6 +37,7 @@ from .synth import DatasetIndex, OracleModel
 _INIT_STREAM = 0x51
 _SAMPLE_STREAM = 0x52
 _CHECK_STREAM = 0x53
+_FD_STEP = 1e-5  # central-difference step of grad_check
 
 
 @dataclass(frozen=True)
@@ -106,43 +107,42 @@ class LabeledBatch:
         return self.label_partial_logp - self.label_full_logp
 
 
-def sample_batch(dataset, oracle: OracleModel, config: TrainConfig, rng,
-                 index: DatasetIndex | None = None) -> LabeledBatch:
-    """Draw ``batch_size`` labeled states, each a uniform utterance, token and frame.
+def sample_batch(index: DatasetIndex, config: TrainConfig, rng) -> LabeledBatch:
+    """Draw ``batch_size`` labeled states of ``index``'s dataset, each a uniform utterance, token and frame.
 
     ``label_noise_std`` adds seeded Gaussian noise to the truncated-audio
     log-likelihood label of each draw, standing in for the measurement noise
     a real backbone produces.  The oracle itself stays exact; only training
     labels are perturbed, and the full-audio label keeps its clean value.
     """
-    idx = index if index is not None else DatasetIndex(dataset, oracle)
     b = config.batch_size
-    u = rng.integers(0, len(idx.utterances), b)
-    n = (rng.random(b) * idx.n_tokens[u]).astype(np.int64)
-    j = (rng.random(b) * idx.n_frames[u]).astype(np.int64)
+    u = rng.integers(0, len(index.utterances), b)
+    n = (rng.random(b) * index.n_tokens[u]).astype(np.int64)
+    j = (rng.random(b) * index.n_frames[u]).astype(np.int64)
 
     # One oracle call for three views of each draw: rows [0, b) hold the
     # pending token n at frame j, rows [b, 2b) the adjacent token at the same
     # frame, for the monotonicity hinge, and rows [2b, 3b) token n at the
     # last frame, the full audio.
-    next_valid = (n + 1) < idx.n_tokens[u]
+    next_valid = (n + 1) < index.n_tokens[u]
     u3 = np.concatenate([u, u, u])
-    n3 = np.concatenate([n, np.minimum(n + 1, idx.n_tokens[u] - 1), n])
-    flat, t3, prob, evidence = idx.states(u3, n3, np.concatenate([j, j, idx.n_frames[u] - 1]))
+    n3 = np.concatenate([n, np.minimum(n + 1, index.n_tokens[u] - 1), n])
+    flat, t3, prob, evidence = index.states(u3, n3, np.concatenate([j, j, index.n_frames[u] - 1]))
     label_partial = np.log(prob[:b])
     if config.label_noise_std > 0.0:
         label_partial = label_partial + config.label_noise_std * rng.standard_normal(b)
 
     views = slice(0, 2 * b)
-    mixed = oracle.mix_features(idx.flat_tokens[flat[views]], evidence[views], n3[views] / idx.n_tokens[u3[views]])
+    mixed = index.oracle.mix_features(index.flat_tokens[flat[views]], evidence[views],
+                                      n3[views] / index.n_tokens[u3[views]])
     return LabeledBatch(
         features=mixed[:b],
         t_audio=t3[:b],
         token_index=n,
         label_partial_logp=label_partial,
         label_full_logp=np.log(prob[2 * b:]),
-        t_star=idx.flat_boundaries[flat[:b]],
-        aligned=idx.aligned[u],
+        t_star=index.flat_boundaries[flat[:b]],
+        aligned=index.aligned[u],
         features_next=mixed[b:],
         next_valid=next_valid,
     )
@@ -294,7 +294,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     records: list[StepRecord] = []
 
     for step in range(train_config.steps):
-        batch = sample_batch(dataset, oracle, train_config, rng, index=index)
+        batch = sample_batch(index, train_config, rng)
         targets = mask = None
         if variant.uses_alignment_loss:
             mask = batch.aligned
@@ -322,11 +322,8 @@ TRAINING_CSV_COLUMNS = ("step", "loss_total", "loss_cov", "loss_mono", "loss_l2"
 
 
 def write_training_csv(report: TrainReport, path) -> None:
-    lines = [",".join(TRAINING_CSV_COLUMNS)]
-    for r in report.records:
-        lines.append(",".join([str(r.step)] + [repr(float(v)) for v in (
-            r.loss_total, r.loss_cov, r.loss_mono, r.loss_l2, r.loss_align, r.grad_norm)]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, TRAINING_CSV_COLUMNS, ((r.step, r.loss_total, r.loss_cov, r.loss_mono, r.loss_l2, r.loss_align,
+                                            r.grad_norm) for r in report.records))
 
 
 def score_info_gain_grid(oracle: OracleModel, params: PolicyParams, dataset):
@@ -344,12 +341,12 @@ def score_info_gain_grid(oracle: OracleModel, params: PolicyParams, dataset):
 
 
 def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: PolicyVariant,
-               seed: int = 0, *, objective: str = "cov", n_coords: int = 120,
-               fd_step: float = 1e-5) -> float:
+               seed: int = 0, *, objective: str = "cov", n_coords: int = 120) -> float:
     """Worst relative disagreement between analytic and central-difference gradients.
 
     The analytic gradient comes from the step code that ``train`` runs; the
-    central differences evaluate :func:`total_loss` on perturbed parameters.
+    central differences, with step 1e-5, evaluate :func:`total_loss` on
+    perturbed parameters.
     The relative error divides by max(|analytic|, |numeric|, 0.01), so tiny
     coordinates are held to a matching absolute tolerance.
     """
@@ -384,11 +381,11 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
     worst = 0.0
     for c in coords:
         bumped = theta.copy()
-        bumped[c] += fd_step
+        bumped[c] += _FD_STEP
         hi = loss_at(vector_to_params(policy_config, bumped))
-        bumped[c] -= 2.0 * fd_step
+        bumped[c] -= 2.0 * _FD_STEP
         lo = loss_at(vector_to_params(policy_config, bumped))
-        numeric = (hi - lo) / (2.0 * fd_step)
+        numeric = (hi - lo) / (2.0 * _FD_STEP)
         err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-2)
         worst = max(worst, err)
     return worst

@@ -329,7 +329,9 @@ def _bad_number_cases():
         if item not in (int, float, Threshold):
             continue
         bad_values = {"str": "1", "bool": True, "null": None}
-        if item is not int:
+        if item is int:
+            bad_values["int64"] = 2**63
+        else:
             bad_values["nan"] = NAN
         if item is float:  # a Threshold may be +-inf
             bad_values["inf"] = math.inf
@@ -337,14 +339,15 @@ def _bad_number_cases():
             # a tuple field gets the bad value as its first item
             value = [bad, *default[1:]] if item is not kind else bad
             setting = {section: {name: value}} if section else {name: value}
-            message = ("must be an integer" if item is int else "must be finite, got inf" if label == "inf"
-                       else f"must be a number and not NaN, got {bad!r}")
+            message = ("must fit in a 64-bit integer" if label == "int64" else "must be an integer" if item is int
+                       else "must be finite, got inf" if label == "inf" else f"must be a number and not NaN, got {bad!r}")
             yield pytest.param(setting, f"{name}: {message}", id=f"{section + '.' if section else ''}{name}-{label}")
 
 
 def test_bad_number_cases_cover_thresholds_and_infinity():
     ids = {case.id for case in _bad_number_cases()}
-    assert {"stream.alpha-nan", "alphas-nan", "synth.frame_ms-inf", "time_base-inf", "band-inf"} <= ids
+    assert {"stream.alpha-nan", "alphas-nan", "synth.frame_ms-inf", "time_base-inf", "band-inf",
+            "synth.vocab_size-int64", "train.batch_size-int64", "hidden_dims-int64"} <= ids
     assert not {"stream.alpha-inf", "alphas-inf"} & ids
 
 

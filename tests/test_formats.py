@@ -198,8 +198,8 @@ NON_FINITE = [
 ]
 
 
-# A value of a JSON type its field does not take, or a number no float can hold.  A string id or a
-# bool flag is never coerced: "no" is not false, and 2 is not true.
+# A value of a JSON type its field does not take, a number no float can hold, or a token id no
+# 64-bit integer can.  A string id or a bool flag is never coerced: "no" is not false, and 2 is not true.
 WRONG_TYPE = [
     ("dataset", '"id":"u-1"', '"id":5'),
     ("dataset", '"duration_s":2.05', '"duration_s":"2.05"'),
@@ -208,6 +208,7 @@ WRONG_TYPE = [
     ("dataset", '"ambiguous":[false,true,false]', '"ambiguous":[2,0,false]'),
     ("dataset", '[0.5,1.25,', '["0.5",1.25,'),
     pytest.param("dataset", '[0.5,1.25,', '[0.5,1' + '0' * 400 + ',', id="dataset-boundary-of-401-digits"),
+    pytest.param("dataset", '[305,0,12]', f'[305,{2**70},12]', id="dataset-token-beyond-int64"),
     ("emission_logs", '"utt_id":"u-1"', '"utt_id":5'),
     ("emission_logs", '[0.25,0.5,', '["0.25",0.5,'),
     ("emission_logs", '"T":1.5', '"T":true'),

@@ -10,8 +10,6 @@ from simulgain.losses import (
     batch_normalize,
     bce_align_loss,
     cov_loss,
-    l2_loss,
-    mse_label_loss,
     total_loss,
     total_loss_grad,
 )
@@ -27,11 +25,13 @@ class TestBatchNormalize:
         np.testing.assert_array_equal(batch_normalize([5.0, 5.0, 5.0]), [0.0, 0.0, 0.0])
 
     def test_unit_std_output(self):
+        # population std s in, s / (s + 1e-5) out
         rng = np.random.default_rng(0)
         v = rng.standard_normal(500) * 3.0 + 7.0
-        out = batch_normalize(v, epsilon=1e-12)
+        out = batch_normalize(v)
+        s = v.std()
         assert out.mean() == pytest.approx(0.0, abs=1e-9)
-        assert out.std() == pytest.approx(1.0, abs=1e-6)
+        assert out.std() == pytest.approx(s / (s + 1e-5), rel=1e-14)
 
     def test_needs_two_values(self):
         with pytest.raises(BatchError):
@@ -47,12 +47,15 @@ class TestCovLoss:
         assert cov_loss([1.0, -1.0], [2.0, 0.0]) == pytest.approx(1.0, abs=1e-4)
 
     def test_affine_invariance_of_labels(self):
+        # BN(a * labels + b) = (labels - mean) / (s + 1e-5 / a) for a > 0: a shift changes
+        # nothing, and a scale multiplies the loss by (s + 1e-5) / (s + 1e-5 / a)
         rng = np.random.default_rng(1)
         q = rng.standard_normal(32)
         labels = rng.standard_normal(32)
-        base = cov_loss(q, labels, epsilon=1e-9)
-        for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
-            assert cov_loss(q, a * labels + b, epsilon=1e-9) == pytest.approx(base, abs=1e-6)
+        s = labels.std()
+        base = cov_loss(q, labels)
+        for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0), (1.0, 5.0), (1e-3, 0.0)):
+            assert cov_loss(q, a * labels + b) == pytest.approx(base * (s + 1e-5) / (s + 1e-5 / a), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -88,16 +91,23 @@ class TestMonoLoss:
             assert (mono_term(q, q_next, valid) == 0.0) == bool(np.all((q <= q_next)[valid]))
 
 
+def l2_term(q):
+    """The L2 term of the combined objective at weight 1, alone: the mean of q**2."""
+    weights = LossWeights(lambda_mono=0.0, lambda_l2=1.0, lambda_align=0.0)
+    q = np.asarray(q, dtype=np.float64)
+    return total_loss(q, np.arange(q.shape[0], dtype=np.float64), weights)[1]["l2"]
+
+
 class TestL2Loss:
     def test_zeros(self):
-        assert l2_loss(np.zeros(5)) == 0.0
+        assert l2_term(np.zeros(5)) == 0.0
 
     def test_hand_fixture(self):
-        assert l2_loss([3.0, 4.0]) == pytest.approx(12.5)
+        assert l2_term([3.0, 4.0]) == pytest.approx(12.5)
 
     def test_quadratic_scaling(self):
         q = np.array([0.3, -1.2, 2.0])
-        assert l2_loss(3.0 * q) == pytest.approx(9.0 * l2_loss(q))
+        assert l2_term(3.0 * q) == pytest.approx(9.0 * l2_term(q))
 
 
 class TestAlignTarget:
@@ -143,18 +153,27 @@ class TestBceAlignLoss:
         assert best == pytest.approx(math.log(target / (1 - target)), abs=0.01)
 
 
+def mse_term(q, gains):
+    """The fit of the MSE objective alone: the mean squared error of q against ``gains``.
+
+    ``gains`` are the sign-flipped labels, full-minus-partial.
+    """
+    weights = LossWeights(lambda_mono=0.0, lambda_l2=0.0, lambda_align=0.0)
+    return total_loss(q, -np.asarray(gains, dtype=np.float64), weights, objective="mse")[1]["cov"]
+
+
 class TestMseLabelLoss:
     def test_perfect_fit(self):
         q = np.array([0.1, -2.0, 3.0])
-        assert mse_label_loss(q, q) == 0.0
+        assert mse_term(q, q) == 0.0
 
     def test_hand_fixture(self):
-        assert mse_label_loss([0.0, 0.0], [1.0, -1.0]) == pytest.approx(1.0)
+        assert mse_term([0.0, 0.0], [1.0, -1.0]) == pytest.approx(1.0)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            assert mse_label_loss(rng.standard_normal(8), rng.standard_normal(8)) >= 0.0
+            assert mse_term(rng.standard_normal(8), rng.standard_normal(8)) >= 0.0
 
 
 class TestTotalLoss:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from simulgain.errors import ConfigError
 from simulgain.policy import PolicyConfig, PolicyVariant, init_params
 from simulgain.synth import (
+    DatasetIndex,
     OracleModel,
     SynthConfig,
     Utterance,
@@ -447,7 +448,7 @@ class TestKernelAgainstClosedForm:
     def test_exhaustive_batch_and_grid(self, case):
         cfg, utt = case
         oracle = OracleModel(cfg)
-        batch = sample_batch([utt], oracle, TrainConfig(batch_size=64), np.random.default_rng(0))
+        batch = sample_batch(DatasetIndex([utt], oracle), TrainConfig(batch_size=64), np.random.default_rng(0))
         params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA, cfg.feature_dim, hidden_dims=(8,)), 0)
         _, gains = score_info_gain_grid(oracle, params, [utt])  # frame-major, one row of tokens per frame
         frames = np.searchsorted(oracle.frame_grid(utt), batch.t_audio)

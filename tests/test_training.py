@@ -43,8 +43,9 @@ class TestSampleBatch:
     def test_deterministic_given_seed(self, env):
         cfg, oracle, dataset = env
         tc = TrainConfig(batch_size=32, rng_seed=4)
-        a = sample_batch(dataset, oracle, tc, np.random.default_rng(9))
-        b = sample_batch(dataset, oracle, tc, np.random.default_rng(9))
+        index = DatasetIndex(dataset, oracle)
+        a = sample_batch(index, tc, np.random.default_rng(9))
+        b = sample_batch(index, tc, np.random.default_rng(9))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.t_audio, b.t_audio)
         np.testing.assert_array_equal(a.label_partial_logp, b.label_partial_logp)
@@ -52,29 +53,27 @@ class TestSampleBatch:
     def test_draws_are_pinned(self, env):
         # the utterance, token and frame draws, in that order, that every training run depends on
         cfg, oracle, dataset = env
-        batch = sample_batch(dataset, oracle, TrainConfig(batch_size=8), np.random.default_rng(3))
+        batch = sample_batch(DatasetIndex(dataset, oracle), TrainConfig(batch_size=8), np.random.default_rng(3))
         assert batch.token_index.tolist() == [0, 1, 1, 0, 2, 0, 2, 2]
         assert np.rint(batch.t_audio / cfg.frame_s).astype(int).tolist() == [47, 41, 53, 69, 20, 71, 77, 26]
 
     def test_full_audio_never_beats_partial(self, env):
         cfg, oracle, dataset = env
         tc = TrainConfig(batch_size=512)
-        batch = sample_batch(dataset, oracle, tc, np.random.default_rng(1))
+        batch = sample_batch(DatasetIndex(dataset, oracle), tc, np.random.default_rng(1))
         assert np.all(batch.label_full_logp >= batch.label_partial_logp)
 
     def test_label_noise_perturbs_only_partial_labels(self, env):
         cfg, oracle, dataset = env
-        clean = sample_batch(dataset, oracle, TrainConfig(batch_size=64, rng_seed=3),
-                             np.random.default_rng(3))
-        noisy = sample_batch(dataset, oracle,
-                             TrainConfig(batch_size=64, rng_seed=3, label_noise_std=0.5),
+        index = DatasetIndex(dataset, oracle)
+        clean = sample_batch(index, TrainConfig(batch_size=64, rng_seed=3), np.random.default_rng(3))
+        noisy = sample_batch(index, TrainConfig(batch_size=64, rng_seed=3, label_noise_std=0.5),
                              np.random.default_rng(3))
         np.testing.assert_array_equal(clean.label_full_logp, noisy.label_full_logp)
         np.testing.assert_array_equal(clean.features, noisy.features)
         assert np.all(clean.label_partial_logp != noisy.label_partial_logp)
         # seeded: same config and rng seed reproduce the same noise
-        again = sample_batch(dataset, oracle,
-                             TrainConfig(batch_size=64, rng_seed=3, label_noise_std=0.5),
+        again = sample_batch(index, TrainConfig(batch_size=64, rng_seed=3, label_noise_std=0.5),
                              np.random.default_rng(3))
         np.testing.assert_array_equal(noisy.label_partial_logp, again.label_partial_logp)
 
@@ -84,7 +83,8 @@ class TestSampleBatch:
         Utterance("partial_last_frame", 2.03, [1, 2], [0.5, 1.4], [False, False]),
     ], ids=lambda utt: utt.id)
     def test_uniform_draws_cover_frame_grid(self, utt):
-        batch = sample_batch([utt], OracleModel(GRID_SYNTH), TrainConfig(batch_size=4096), np.random.default_rng(0))
+        batch = sample_batch(DatasetIndex([utt], OracleModel(GRID_SYNTH)), TrainConfig(batch_size=4096),
+                             np.random.default_rng(0))
         assert len(batch) == 4096
         frame = GRID_SYNTH.frame_s
         grid = [j * frame for j in range(math.ceil(utt.duration_s / frame - 1e-9))] + [utt.duration_s]
@@ -96,7 +96,7 @@ class TestSampleBatch:
         cfg, oracle, dataset = env
         tc = TrainConfig(batch_size=16)
         index = DatasetIndex(dataset, oracle)
-        batch = sample_batch(dataset, oracle, tc, np.random.default_rng(5), index=index)
+        batch = sample_batch(index, tc, np.random.default_rng(5))
         assert batch.features.shape == batch.features_next.shape == (len(batch), cfg.feature_dim)
         assert batch.aligned.dtype == bool and batch.aligned.all()
         for i in range(len(batch)):
@@ -226,7 +226,7 @@ def reference_train(oracle, dataset, pc, tc, weights):
     use_mono = weights.lambda_mono > 0
     rows = []
     for step in range(tc.steps):
-        batch = sample_batch(dataset, oracle, tc, rng, index=index)
+        batch = sample_batch(index, tc, rng)
         scores, cache = forward_with_cache(params, batch.features, batch.t_audio)
         scores_next = cache_next = None
         if use_mono:
