@@ -40,7 +40,6 @@ from .streaming import (
     StreamConfig,
     ThresholdPolicy,
     WaitKPolicy,
-    detect_read_loop,
     load_logs,
     save_logs,
     simulate,

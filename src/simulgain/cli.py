@@ -149,7 +149,7 @@ def _stream_inputs(cfg: ExperimentConfig):
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, args.seed)
     count = args.count if args.count is not None else cfg.count
     utterances = generate_dataset(cfg.synth, count)
     save_dataset(utterances, cfg.paths.dataset)
@@ -272,13 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Information-gain read/write policy lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, out=True):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override synth/train rng_seed")
-        p.add_argument("--out", default=None, help="override output directory")
+        if out:  # gen writes only paths.dataset
+            p.add_argument("--out", default=None, help="override output directory")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    add_common(p_gen)
+    add_common(p_gen, out=False)
     p_gen.add_argument("--count", type=int, default=None, help="number of utterances")
     p_gen.set_defaults(func=cmd_gen)
 

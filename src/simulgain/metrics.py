@@ -4,8 +4,8 @@ Normative definitions used throughout this package:
 
 * LAAL: with hypothesis length H, reference length R, and source duration T,
   set gamma = max(H, R) / T and let tau be the first emission index at which
-  the source was already exhausted, d_i within 1e-12 of T as in the
-  simulator (or H if none).  LAAL is the mean of
+  the source was already exhausted, d_i within 1e-12 of T (or H if none):
+  ``EmissionLog.n_before_end`` + 1, capped at H.  LAAL is the mean of
   d_i - (i-1)/gamma over i = 1..tau.  Raw values are reported; no clamping.
 * BLEU: corpus-level geometric mean of modified 1..4-gram precisions with
   add-one smoothing on zero counts for n >= 2, times the brevity penalty,
@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MetricError, ShapeError, parse_lines
-from .streaming import _END_EPS, EmissionLog, detect_read_loop
 
 _BAND_SLACK = 1e-9  # how far a NoSE band may reach past the swept latency range
 
@@ -67,8 +66,8 @@ class BinStat:
     count: int
 
 
-def laal(log: EmissionLog, ref_len: int) -> float:
-    """Length-adaptive average lagging in seconds; see the module docstring."""
+def laal(log, ref_len: int) -> float:
+    """Length-adaptive average lagging of one EmissionLog in seconds; see the module docstring."""
     if ref_len < 1:
         raise MetricError("ref_len must be >= 1")
     if log.duration_s <= 0:
@@ -77,8 +76,7 @@ def laal(log: EmissionLog, ref_len: int) -> float:
     if delays.size == 0:
         raise MetricError(f"log {log.utt_id}: empty emission log")
     gamma = max(delays.size, ref_len) / log.duration_s
-    exhausted = np.nonzero(delays >= log.duration_s - _END_EPS)[0]
-    tau = int(exhausted[0]) + 1 if exhausted.size else delays.size
+    tau = min(log.n_before_end + 1, delays.size)
     return float(np.mean(delays[:tau] - np.arange(tau) / gamma))
 
 
@@ -163,7 +161,7 @@ def read_loop_pct(logs) -> float:
     logs = list(logs)
     if not logs:
         raise MetricError("read_loop_pct needs at least one log")
-    return 100.0 * sum(detect_read_loop(log) for log in logs) / len(logs)
+    return 100.0 * sum(log.read_loop for log in logs) / len(logs)
 
 
 def latency_vs_position(logs, dataset, bins: int) -> list[BinStat]:

@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import metrics  # sweep calls metrics.<name>, so a wrapper set on that module (a trace) sees the call
 from .errors import Threshold, check_settings, parse_lines, require, setting, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
 
-_END_EPS = 1e-12  # a time within this of T has exhausted the source; metrics.laal uses it too
+_END_EPS = 1e-12  # a time within this of T has exhausted the source (for a delay: EmissionLog.n_before_end)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class StreamConfig:
 
 @dataclass
 class EmissionLog:
-    """Per-token emission record of one streaming run.
+    """Per-token emission record of one streaming run; building one checks the log contract.
 
     ``truncated`` is part of the log format; :func:`simulate` emits every
     target token, so its logs never set it.
@@ -55,16 +56,27 @@ class EmissionLog:
     truncated: bool = False
 
     def __post_init__(self):
-        if len(self.tokens) != len(self.delays_s):
+        delays = self.delays_s
+        if len(self.tokens) != len(delays):
             raise ValueError(f"log {self.utt_id}: tokens and delays disagree on length")
-        d = np.asarray(self.delays_s, dtype=np.float64)
-        if not (math.isfinite(self.duration_s) and np.isfinite(d).all()):
+        if not (math.isfinite(self.duration_s) and all(map(math.isfinite, delays))):
             raise ValueError(f"log {self.utt_id}: duration_s and delays must be finite")
-        if d.size:
-            if np.any(np.diff(d) < 0):
-                raise ValueError(f"log {self.utt_id}: delays must be nondecreasing")
-            if d[0] <= 0 or d[-1] > self.duration_s + _END_EPS:
-                raise ValueError(f"log {self.utt_id}: delays must lie in (0, duration_s]")
+        if any(a > b for a, b in zip(delays, delays[1:])):
+            raise ValueError(f"log {self.utt_id}: delays must be nondecreasing")
+        if len(delays) and (delays[0] <= 0 or delays[-1] > self.duration_s + _END_EPS):
+            raise ValueError(f"log {self.utt_id}: delays must lie in (0, duration_s]")
+        if not 0 <= self.n_forced <= len(self.tokens):
+            raise ValueError(f"log {self.utt_id}: n_forced must be from 0 to the number of tokens")
+
+    @property
+    def n_before_end(self) -> int:
+        """Tokens written before the source ran out: the index of the first delay within 1e-12 of T, else all."""
+        return next((i for i, d in enumerate(self.delays_s) if d >= self.duration_s - _END_EPS), len(self.delays_s))
+
+    @property
+    def read_loop(self) -> bool:
+        """True iff nothing was written before the source ran out."""
+        return self.n_before_end == 0
 
 
 class ThresholdPolicy:
@@ -160,13 +172,6 @@ def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) 
     return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
 
 
-def detect_read_loop(log: EmissionLog) -> bool:
-    """True iff nothing was emitted before the source was exhausted."""
-    if not log.delays_s:
-        return True
-    return log.delays_s[0] >= log.duration_s - _END_EPS
-
-
 def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
           config: StreamConfig, policy_factory=None, collect_logs: bool = False):
     """Simulate the whole dataset at each threshold; one operating point per alpha.
@@ -178,8 +183,6 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     so each token row is filled once per sweep.  Output order follows the
     input alphas.
     """
-    from .metrics import ParetoPoint, bleu, laal, read_loop_pct  # deferred: metrics consumes logs
-
     alphas = [setting(alpha, Threshold, "alpha") for alpha in alphas]
     require(len(alphas) > 0, "alphas", "must be non-empty")
     if policy_factory is None:
@@ -191,10 +194,10 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     for alpha in alphas:
         policy = policy_factory(alpha)
         logs = [simulate(oracle, utt, policy, config) for utt in dataset]
-        mean_laal = float(np.mean([laal(log, utt.n_tokens) for log, utt in zip(logs, dataset)]))
-        quality = bleu([log.tokens for log in logs], refs)
-        points.append(ParetoPoint(alpha=alpha, mean_laal_s=mean_laal,
-                                  quality=quality, read_loop_pct=read_loop_pct(logs)))
+        mean_laal = float(np.mean([metrics.laal(log, utt.n_tokens) for log, utt in zip(logs, dataset)]))
+        quality = metrics.bleu([log.tokens for log in logs], refs)
+        points.append(metrics.ParetoPoint(alpha=alpha, mean_laal_s=mean_laal,
+                                          quality=quality, read_loop_pct=metrics.read_loop_pct(logs)))
         if collect_logs:
             logs_by_alpha[alpha] = logs
     if collect_logs:
@@ -213,7 +216,7 @@ def emission_log_to_json(log: EmissionLog) -> str:
         "delays_s": [float(d) for d in log.delays_s],
         "T": float(log.duration_s),
         "forced_tail": int(log.n_forced),
-        "read_loop": detect_read_loop(log),
+        "read_loop": log.read_loop,
         "truncated": bool(log.truncated),
     }
     return json.dumps(record, separators=(",", ":"))
@@ -221,13 +224,11 @@ def emission_log_to_json(log: EmissionLog) -> str:
 
 def emission_log_from_json(line: str) -> EmissionLog:
     record = json.loads(line)
-    tokens, n_forced = token_ids(record["tokens"], "tokens"), record["forced_tail"]
-    if type(n_forced) is not int or not 0 <= n_forced <= len(tokens):
-        raise ValueError("forced_tail: must be an integer from 0 to the number of tokens")
-    return EmissionLog(utt_id=setting(record["utt_id"], str, "utt_id"), tokens=tokens,
+    return EmissionLog(utt_id=setting(record["utt_id"], str, "utt_id"), tokens=token_ids(record["tokens"], "tokens"),
                        delays_s=list(setting(record["delays_s"], tuple[float, ...], "delays_s")),
                        duration_s=setting(record["T"], float, "T"),
-                       n_forced=n_forced, truncated=setting(record.get("truncated", False), bool, "truncated"))
+                       n_forced=setting(record["forced_tail"], int, "forced_tail"),
+                       truncated=setting(record.get("truncated", False), bool, "truncated"))
 
 
 def save_logs(logs, path) -> None:

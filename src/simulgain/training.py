@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, check_settings, require
+from .errors import ConfigError, NumericError, check_settings, require
 from .losses import LossWeights, align_target, loss_and_grad, total_loss
 from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .metrics import write_csv
@@ -91,7 +91,6 @@ class LabeledBatch:
 
     features: np.ndarray
     t_audio: np.ndarray
-    token_index: np.ndarray
     label_partial_logp: np.ndarray
     label_full_logp: np.ndarray
     t_star: np.ndarray  # the pending token's boundary, in every row
@@ -138,7 +137,6 @@ def sample_batch(index: DatasetIndex, config: TrainConfig, rng) -> LabeledBatch:
     return LabeledBatch(
         features=mixed[:b],
         t_audio=t3[:b],
-        token_index=n,
         label_partial_logp=label_partial,
         label_full_logp=np.log(prob[2 * b:]),
         t_star=index.flat_boundaries[flat[:b]],
@@ -285,8 +283,11 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     if variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
-    head = _FlatHead(init_params(policy_config, [train_config.rng_seed, _INIT_STREAM]), index.flat_times,
-                     train_config.batch_size)
+    params = init_params(policy_config, [train_config.rng_seed, _INIT_STREAM])
+    try:
+        head = _FlatHead(params, index.flat_times, train_config.batch_size)
+    except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the step workspaces
+        raise ConfigError(f"batch_size: {train_config.batch_size} rows do not fit in memory ({exc})") from None
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)

@@ -58,6 +58,15 @@ class TestGen:
         tmp, cfg_path, _ = workspace
         assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
 
+    def test_out_flag_is_refused(self, workspace, capsys):
+        # gen writes only paths.dataset, so an output directory would be ignored
+        tmp, cfg_path, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen", "--config", str(cfg_path), "--out", str(tmp / "gen_out")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp / "gen_out").exists() and not (tmp / "data.jsonl").exists()
+
     def test_unknown_config_field_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"synth": {"rng_sed": 1}}))
@@ -295,7 +304,7 @@ def test_non_integer_setting_is_config_error(workspace, capsys, command, setting
         config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
     cfg_path.write_text(json.dumps(config))
     capsys.readouterr()
-    argv = [command, "--config", str(cfg_path), "--out", str(tmp / "int")]
+    argv = [command, "--config", str(cfg_path)] + ([] if command == "gen" else ["--out", str(tmp / "int")])
     assert main(argv + (["--sweeps", str(tmp / "sweep")] if command == "report" else [])) == 2
     assert f"config error: {field}: must be an integer" in capsys.readouterr().err
     assert not (tmp / "int").exists()
@@ -366,9 +375,9 @@ def test_number_setting_that_is_no_number_is_config_error(workspace, capsys, set
     for key, value in setting.items():
         config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
     cfg_path.write_text(json.dumps(config))
-    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp / "num")]) == 2
+    assert main(["gen", "--config", str(cfg_path)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not (tmp / "num").exists() and not (tmp / "data.jsonl").exists()
+    assert not (tmp / "data.jsonl").exists()
 
 
 JSON_VALUES = {"string": "x", "number": 2, "bool": True, "null": None, "list": [], "object": {}}
@@ -410,9 +419,9 @@ def test_setting_of_a_refused_json_type_is_config_error(workspace, capsys, secti
     else:
         config[name] = value
     cfg_path.write_text(json.dumps(config))
-    assert main(["gen", "--config", str(cfg_path), "--out", str(tmp / "typ")]) == 2
+    assert main(["gen", "--config", str(cfg_path)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
-    assert not (tmp / "typ").exists() and not (tmp / "data.jsonl").exists()
+    assert not (tmp / "data.jsonl").exists()
 
 
 @pytest.mark.parametrize("setting, field", [({"synth": {"frame_ms": 10**400}}, "frame_ms"),
@@ -427,6 +436,19 @@ def test_integer_too_large_for_a_float_is_config_error(workspace, capsys, settin
     assert main(["gen", "--config", str(cfg_path)]) == 2
     assert f"config error: {field}: must fit in a float" in capsys.readouterr().err
     assert not (tmp / "data.jsonl").exists()
+
+
+def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
+    # numpy refuses step workspaces of 2**62 rows before touching memory; a smaller huge
+    # batch could be accepted by an overcommitting allocator and then exhaust the machine
+    tmp, cfg_path, config = workspace
+    main(["gen", "--config", str(cfg_path)])
+    config["train"]["batch_size"] = 2**62
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+    assert f"config error: batch_size: {2**62} rows do not fit in memory" in capsys.readouterr().err
+    assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
 
 
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):

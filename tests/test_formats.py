@@ -212,6 +212,7 @@ WRONG_TYPE = [
     ("emission_logs", '"utt_id":"u-1"', '"utt_id":5'),
     ("emission_logs", '[0.25,0.5,', '["0.25",0.5,'),
     ("emission_logs", '"T":1.5', '"T":true'),
+    ("emission_logs", '"forced_tail":1', '"forced_tail":true'),
     ("emission_logs", '"read_loop":false,"truncated":false', '"read_loop":false,"truncated":"no"'),
     ("emission_logs", '"read_loop":false,"truncated":false', '"read_loop":false,"truncated":0'),
     ("checkpoint", '"use_time_embedding":true', '"use_time_embedding":"no"'),

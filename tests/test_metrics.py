@@ -22,7 +22,7 @@ from simulgain.metrics import (
     write_nose_csv,
     write_pareto_csv,
 )
-from simulgain.streaming import EmissionLog, detect_read_loop
+from simulgain.streaming import EmissionLog
 from simulgain.synth import Utterance
 
 
@@ -55,7 +55,7 @@ class TestLaal:
         # 5e-10 short of T is not exhausted for the simulator's loop guard and
         # read-loop rule, so it is not for tau either: tau = 2, gamma = 2/3
         log = make_log([3.0 - 5e-10, 3.0], 3.0)
-        assert not detect_read_loop(log)
+        assert not log.read_loop
         assert laal(log, 2) == pytest.approx(((3.0 - 5e-10) + (3.0 - 1.5)) / 2, abs=1e-12)
         assert laal(log, 2) == pytest.approx(2.25, abs=1e-9)
 
@@ -72,6 +72,50 @@ class TestLaal:
     def test_empty_log_rejected(self):
         with pytest.raises(MetricError):
             laal(EmissionLog(utt_id="x", tokens=[], delays_s=[], duration_s=2.0), 1)
+
+
+def reference_read_loop(log):
+    """The read-loop rule as ``streaming.detect_read_loop`` wrote it before ``EmissionLog.read_loop``."""
+    if not log.delays_s:
+        return True
+    return log.delays_s[0] >= log.duration_s - 1e-12
+
+
+def reference_laal(log, ref_len):
+    """LAAL as ``metrics.laal`` computed it before taking tau from ``EmissionLog.n_before_end``."""
+    delays = np.asarray(log.delays_s, dtype=np.float64)
+    gamma = max(delays.size, ref_len) / log.duration_s
+    exhausted = np.nonzero(delays >= log.duration_s - 1e-12)[0]
+    tau = int(exhausted[0]) + 1 if exhausted.size else delays.size
+    return float(np.mean(delays[:tau] - np.arange(tau) / gamma))
+
+
+@st.composite
+def logs_near_the_end(draw):
+    """A log whose late delays sit at T, at T - 1e-12, or one ulp to either side of either."""
+    T = draw(st.floats(0.5, 100.0))
+    edge = T - 1e-12
+    near = [T, edge, *(math.nextafter(x, toward) for x in (T, edge) for toward in (-math.inf, math.inf))]
+    delays = sorted(draw(st.lists(st.floats(1e-3, T / 2), max_size=4)))
+    delays += sorted(draw(st.lists(st.sampled_from(near), max_size=4)))
+    return EmissionLog("u", list(range(len(delays))), delays, T, n_forced=draw(st.integers(0, len(delays))))
+
+
+class TestEndOfSource:
+    @settings(max_examples=400, deadline=None)
+    @given(log=logs_near_the_end(), ref_len=st.integers(1, 10))
+    def test_matches_the_reference_rules(self, log, ref_len):
+        assert log.read_loop == reference_read_loop(log)
+        if log.delays_s:
+            assert laal(log, ref_len) == reference_laal(log, ref_len)
+
+    def test_the_edge_is_exhausted_and_the_ulp_below_is_not(self):
+        T = 3.0
+        edge = T - 1e-12
+        below = math.nextafter(edge, 0.0)
+        assert make_log([edge, T], T).read_loop
+        assert make_log([below, T], T).n_before_end == 1
+        assert make_log([below, below], T).n_before_end == 2
 
 
 class TestBleu:

@@ -16,7 +16,6 @@ from simulgain.streaming import (
     StreamConfig,
     ThresholdPolicy,
     WaitKPolicy,
-    detect_read_loop,
     emission_log_to_json,
     load_logs,
     save_logs,
@@ -68,7 +67,7 @@ class TestSimulate:
         log = simulate(oracle, utt, FixedScorePolicy(0.0, -math.inf), stream)
         assert log.delays_s == [utt.duration_s] * utt.n_tokens
         assert log.n_forced == utt.n_tokens
-        assert detect_read_loop(log)
+        assert log.read_loop
 
     def test_delays_nondecreasing_and_bounded(self, env, stream):
         cfg, oracle, dataset = env
@@ -167,19 +166,24 @@ class TestThresholds:
 class TestReadLoop:
     def test_always_read_is_a_loop(self):
         log = EmissionLog(utt_id="x", tokens=[1, 2], delays_s=[3.0, 3.0], duration_s=3.0)
-        assert detect_read_loop(log)
+        assert log.read_loop
 
     def test_never_read_is_not(self):
         log = EmissionLog(utt_id="x", tokens=[1, 2], delays_s=[0.25, 0.25], duration_s=3.0)
-        assert not detect_read_loop(log)
+        assert not log.read_loop
 
     def test_one_chunk_before_end_is_not(self):
         log = EmissionLog(utt_id="x", tokens=[1], delays_s=[2.75], duration_s=3.0)
-        assert not detect_read_loop(log)
+        assert not log.read_loop
 
     def test_empty_log_counts_as_loop(self):
         log = EmissionLog(utt_id="x", tokens=[], delays_s=[], duration_s=3.0)
-        assert detect_read_loop(log)
+        assert log.read_loop
+
+    def test_delays_may_be_an_array(self):
+        log = EmissionLog(utt_id="x", tokens=[1, 2], delays_s=np.array([0.5, 3.0]), duration_s=3.0, n_forced=1)
+        assert log.n_before_end == 1 and not log.read_loop
+        assert EmissionLog(utt_id="x", tokens=[], delays_s=np.array([]), duration_s=3.0).read_loop
 
 
 class TestSweep:
@@ -256,6 +260,12 @@ class TestLogSerialization:
             EmissionLog(utt_id="bad", tokens=[1, 2], delays_s=[2.0, 1.0], duration_s=3.0)
         with pytest.raises(ValueError, match="delays"):
             EmissionLog(utt_id="bad", tokens=[1], delays_s=[4.0], duration_s=3.0)
+        for n_forced in (-1, 3):  # the forced tail lies within the two tokens, however the log is built
+            with pytest.raises(ValueError, match="n_forced must be from 0 to the number of tokens"):
+                EmissionLog(utt_id="bad", tokens=[1, 2], delays_s=[0.5, 2.0], duration_s=2.0, n_forced=n_forced)
+        for delays, message in [([2.0, 0.5], "nondecreasing"), ([0.5, math.nan], "finite"), ([0.0, 1.0], "lie in")]:
+            with pytest.raises(ValueError, match=message):
+                EmissionLog(utt_id="bad", tokens=[1, 2], delays_s=np.array(delays), duration_s=2.0)
 
 
 class RecordingPolicy:
@@ -310,7 +320,7 @@ class TestSimulatorProperties:
         d = np.asarray(log.delays_s)
         assert len(log.tokens) == utt.n_tokens and not log.truncated
         assert np.all(np.diff(d) >= 0) and d[0] > 0 and d[-1] <= T
-        assert detect_read_loop(log) == (d[0] == T)
+        assert log.read_loop == (d[0] == T)
         assert log.n_forced == int(np.sum(d == T))
         if alpha == math.inf:
             assert log.delays_s == [min(config.chunk_s, T)] * utt.n_tokens

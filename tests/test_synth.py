@@ -452,7 +452,9 @@ class TestKernelAgainstClosedForm:
         params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA, cfg.feature_dim, hidden_dims=(8,)), 0)
         _, gains = score_info_gain_grid(oracle, params, [utt])  # frame-major, one row of tokens per frame
         frames = np.searchsorted(oracle.frame_grid(utt), batch.t_audio)
-        for i, (t, n) in enumerate(zip(batch.t_audio.tolist(), batch.token_index.tolist())):
+        tokens = np.searchsorted(utt.boundaries_s, batch.t_star)  # the pending token of each row
+        np.testing.assert_array_equal(utt.boundaries_s[tokens], batch.t_star)
+        for i, (t, n) in enumerate(zip(batch.t_audio.tolist(), tokens.tolist())):
             prob, evidence = closed_form(cfg, utt, t, n)
             full, _ = closed_form(cfg, utt, utt.duration_s, n)
             n_next = min(n + 1, utt.n_tokens - 1)

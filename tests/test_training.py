@@ -35,6 +35,16 @@ def env():
 GRID_SYNTH = SynthConfig(rng_seed=3, tokens_per_utt_range=(2, 2), mean_token_gap_s=0.4, gap_jitter_s=0.0)
 
 
+def drawn_states(dataset, batch):
+    """The (utterance, token) of each batch row: the one pending token whose boundary is the row's ``t_star``."""
+    states = []
+    for t_star in batch.t_star.tolist():
+        matches = [(utt, n) for utt in dataset for n in range(utt.n_tokens) if utt.boundaries_s[n] == t_star]
+        assert len(matches) == 1, f"boundary {t_star} names {len(matches)} tokens"
+        states.append(matches[0])
+    return states
+
+
 def policy_config(variant, cfg):
     return PolicyConfig.for_variant(variant, input_dim=cfg.feature_dim, hidden_dims=(16, 16))
 
@@ -54,7 +64,7 @@ class TestSampleBatch:
         # the utterance, token and frame draws, in that order, that every training run depends on
         cfg, oracle, dataset = env
         batch = sample_batch(DatasetIndex(dataset, oracle), TrainConfig(batch_size=8), np.random.default_rng(3))
-        assert batch.token_index.tolist() == [0, 1, 1, 0, 2, 0, 2, 2]
+        assert [n for _, n in drawn_states(dataset, batch)] == [0, 1, 1, 0, 2, 0, 2, 2]
         assert np.rint(batch.t_audio / cfg.frame_s).astype(int).tolist() == [47, 41, 53, 69, 20, 71, 77, 26]
 
     def test_full_audio_never_beats_partial(self, env):
@@ -88,7 +98,7 @@ class TestSampleBatch:
         assert len(batch) == 4096
         frame = GRID_SYNTH.frame_s
         grid = [j * frame for j in range(math.ceil(utt.duration_s / frame - 1e-9))] + [utt.duration_s]
-        seen = {(round(float(t), 6), int(n)) for t, n in zip(batch.t_audio, batch.token_index)}
+        seen = {(round(float(t), 6), n) for t, (_, n) in zip(batch.t_audio, drawn_states([utt], batch))}
         assert seen == {(round(t, 6), n) for t in grid for n in range(utt.n_tokens)}
         assert utt.duration_s in batch.t_audio
 
@@ -99,9 +109,8 @@ class TestSampleBatch:
         batch = sample_batch(index, tc, np.random.default_rng(5))
         assert batch.features.shape == batch.features_next.shape == (len(batch), cfg.feature_dim)
         assert batch.aligned.dtype == bool and batch.aligned.all()
-        for i in range(len(batch)):
-            t, n, t_star = float(batch.t_audio[i]), int(batch.token_index[i]), batch.t_star[i]
-            utt = next(u for u in dataset if n < u.n_tokens and abs(u.boundaries_s[n] - t_star) < 1e-12)
+        for i, (utt, n) in enumerate(drawn_states(dataset, batch)):
+            t = float(batch.t_audio[i])
             p_now, p_full = oracle_states(cfg, [t, utt.duration_s], utt.boundaries_s[[n, n]])[0]
             assert np.exp(batch.label_partial_logp[i]) == pytest.approx(p_now, abs=1e-12)
             assert np.exp(batch.label_full_logp[i]) == pytest.approx(p_full, abs=1e-12)
