@@ -34,7 +34,8 @@ from .metrics import (
 )
 from .policy import PolicyConfig, PolicyVariant, load_params, save_params
 from .streaming import StreamConfig, load_logs, save_logs, sweep
-from .synth import OracleModel, SynthConfig, generate_dataset, load_dataset, save_dataset
+from .synth import OracleModel, SynthConfig, draw_utterances, load_dataset, save_dataset
+from .synth import generate_dataset  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .training import TrainConfig, train, write_training_csv
 
 
@@ -151,9 +152,8 @@ def _stream_inputs(cfg: ExperimentConfig):
 def cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed)
     count = args.count if args.count is not None else cfg.count
-    utterances = generate_dataset(cfg.synth, count)
-    save_dataset(utterances, cfg.paths.dataset)
-    print(f"wrote {len(utterances)} utterances (seed {cfg.synth.rng_seed}) -> {cfg.paths.dataset}")
+    save_dataset(draw_utterances(cfg.synth, count), cfg.paths.dataset)
+    print(f"wrote {count} utterances (seed {cfg.synth.rng_seed}) -> {cfg.paths.dataset}")
     return 0
 
 

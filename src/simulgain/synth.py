@@ -15,8 +15,8 @@ import functools
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -308,31 +308,30 @@ class DatasetIndex:
         return flat, t_s, prob, evidence
 
 
-def generate_dataset(config: SynthConfig, count: int) -> list[Utterance]:
-    """Draw ``count`` utterances; byte-reproducible from ``config.rng_seed``."""
+def draw_utterances(config: SynthConfig, count: int) -> Iterator[Utterance]:
+    """Draw ``count`` utterances one at a time; the call checks ``count`` before the first draw."""
     require(setting(count, int, "count") >= 1, "count", "must be >= 1")
     rng = np.random.default_rng([config.rng_seed, _DATASET_STREAM])
     frame = config.frame_s
     lo, hi = config.tokens_per_utt_range
-    utterances = []
-    for i in range(count):
+
+    def draw(i: int) -> Utterance:
         n_tok = int(rng.integers(lo, hi + 1))
         gaps = config.mean_token_gap_s + rng.uniform(-config.gap_jitter_s, config.gap_jitter_s, size=n_tok)
         boundaries = np.cumsum(gaps)
         frames = int(math.ceil((boundaries[-1] + config.mean_token_gap_s) / frame - 1e-9))
-        duration = frames * frame
         tokens = rng.integers(0, config.vocab_size, size=n_tok)
         ambiguous = rng.random(n_tok) < config.ambiguity_prob
         aligned = bool(rng.random() < config.aligned_prob)
-        utterances.append(Utterance(
-            id=f"utt-{i:05d}",
-            duration_s=duration,
-            target_tokens=tokens,
-            boundaries_s=boundaries,
-            ambiguous_mask=ambiguous,
-            aligned=aligned,
-        ))
-    return utterances
+        return Utterance(id=f"utt-{i:05d}", duration_s=frames * frame, target_tokens=tokens, boundaries_s=boundaries,
+                         ambiguous_mask=ambiguous, aligned=aligned)
+
+    return map(draw, range(count))
+
+
+def generate_dataset(config: SynthConfig, count: int) -> list[Utterance]:
+    """Draw ``count`` utterances; byte-reproducible from ``config.rng_seed``."""
+    return list(draw_utterances(config, count))
 
 
 # -- serialization ----------------------------------------------------------
@@ -364,8 +363,9 @@ def utterance_from_json(line: str) -> Utterance:
 
 
 def save_dataset(utterances, path) -> None:
-    text = "".join(utterance_to_json(u) + "\n" for u in utterances)
-    Path(path).write_text(text, encoding="utf-8")
+    """Write one JSON line per utterance, each as it is drawn from ``utterances``."""
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(utterance_to_json(u) + "\n" for u in utterances)
 
 
 def load_dataset(path) -> list[Utterance]:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, check_settings, require
-from .losses import LossWeights, align_target, loss_and_grad, total_loss
-from .losses import total_loss_grad  # noqa: F401  (re-exported; perfbench traces it under this name)
+from .losses import LossWeights, align_target, loss_and_grad
+from .losses import total_loss, total_loss_grad  # noqa: F401  (re-exported; perfbench traces them under these names)
 from .metrics import write_csv
 from .policy import (
     PolicyConfig,
@@ -29,7 +30,6 @@ from .policy import (
     init_params,
     params_to_vector,
     time_embedding,
-    vector_to_params,
     vector_views,
 )
 from .synth import DatasetIndex, OracleModel
@@ -68,8 +68,9 @@ class TrainConfig:
         require(self.label_noise_std >= 0, "label_noise_std", "must be >= 0")
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
+    """One step's losses and gradient norm; the fields are the columns of ``training.csv``."""
+
     step: int
     loss_total: float
     loss_cov: float
@@ -186,21 +187,26 @@ class AdamW:
 
 
 class _FlatHead:
-    """Policy parameters and their gradient, each one flat vector with per-layer views.
+    """One training step of the policy head, built once with the step's settings.
 
-    ``params`` views ``theta`` and ``grads`` views ``grad``, so the optimizer
-    updates every layer at once and both backward passes of a step land in
-    one buffer.  The activations of both token views and the backward
-    temporaries live in workspaces allocated once for ``rows``, the row
-    count of every step.
+    The step picks its terms: the monotonicity view when ``lambda_mono > 0``,
+    and, for the variants that train it, the alignment term against targets
+    built from each row's boundary.  ``params`` views ``theta`` and ``grads``
+    views ``grad``, each one flat vector, so the optimizer updates every layer
+    at once and both backward passes of a step land in one buffer.  Both
+    token views' activations and the backward temporaries live in workspaces
+    allocated once for ``rows``, the row count of every step.
 
     ``times`` are every audio time the steps will see.  A head with a time
     embedding computes their embeddings once, into a table the steps gather
     rows from.
     """
 
-    def __init__(self, params: PolicyParams, times: np.ndarray, rows: int):
+    def __init__(self, params: PolicyParams, times: np.ndarray, rows: int,
+                 variant: PolicyVariant, weights: LossWeights, objective: str):
         config = params.config
+        variant.check(config)
+        self.variant, self.weights, self.objective = variant, weights, objective
         self.theta = params_to_vector(params)
         self.params = PolicyParams(config, *vector_views(config, self.theta))
         self.grad = np.zeros_like(self.theta)
@@ -229,28 +235,27 @@ class _FlatHead:
         """
         return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0, out=out)
 
-    def loss_and_param_grad(self, weights: LossWeights, objective: str,
-                            features, features_next, t_audio, labels, next_valid,
-                            align_targets, align_mask) -> dict[str, float]:
-        """Loss breakdown of one step; leaves d(total)/d(theta) in ``grad``.
+    def loss_and_param_grad(self, batch: LabeledBatch) -> dict[str, float]:
+        """Loss breakdown of one step on ``batch``; leaves d(total)/d(theta) in ``grad``.
 
-        ``features_next`` is None when the monotonicity term is off, and
-        ``align_targets`` when the variant has no alignment term.  The time
-        embedding, when the head uses one, is gathered once per step from
-        the table and added to both token views.
+        The time embedding, when the head uses one, is gathered once per
+        step from the table and added to both token views.
         """
-        params = self.params
-        cfg = params.config
-        embedding = self.embedding(t_audio, out=self._embedding) if cfg.use_time_embedding else None
+        params, weights, t_audio = self.params, self.weights, batch.t_audio
+        embedding = self.embedding(t_audio, out=self._embedding) if params.config.use_time_embedding else None
         acts, acts_next = self._activations
-        scores, cache = forward_with_cache(params, features, t_audio, embedding=embedding, out=acts)
-        scores_next = cache_next = None
-        if features_next is not None:
-            scores_next, cache_next = forward_with_cache(params, features_next, t_audio, embedding=embedding,
+        scores, cache = forward_with_cache(params, batch.features, t_audio, embedding=embedding, out=acts)
+        scores_next = cache_next = next_valid = targets = mask = None
+        if weights.lambda_mono > 0:
+            scores_next, cache_next = forward_with_cache(params, batch.features_next, t_audio, embedding=embedding,
                                                          out=acts_next)
+            next_valid = batch.next_valid
+        if self.variant.uses_alignment_loss:
+            mask = batch.aligned
+            targets = np.where(mask, align_target(t_audio, batch.t_star, weights.tau), 0.0)
         _, breakdown, dq, dq_next = loss_and_grad(
-            scores, labels, weights, q_next=scores_next, next_valid=next_valid,
-            align_targets=align_targets, align_mask=align_mask, objective=objective)
+            scores, batch.labels, weights, q_next=scores_next, next_valid=next_valid,
+            align_targets=targets, align_mask=mask, objective=self.objective)
         for term in ("cov", "mono", "l2", "align", "total"):
             if not math.isfinite(breakdown[term]):
                 raise NumericError(f"non-finite {term} loss")
@@ -277,34 +282,27 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
 
     The returned parameters are views of one flat vector.
     """
-    variant = train_config.variant
-    variant.check(policy_config)
     index = DatasetIndex(dataset, oracle)
-    if variant.uses_alignment_loss and not index.aligned.any():
+    if train_config.variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
     params = init_params(policy_config, [train_config.rng_seed, _INIT_STREAM])
     try:
-        head = _FlatHead(params, index.flat_times, train_config.batch_size)
+        head = _FlatHead(params, index.flat_times, train_config.batch_size, train_config.variant, loss_weights,
+                         train_config.objective)
+    except ConfigError:  # the head's variant check, not a workspace
+        raise
     except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the step workspaces
         raise ConfigError(f"batch_size: {train_config.batch_size} rows do not fit in memory ({exc})") from None
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
                       weight_decay=train_config.weight_decay)
-    use_mono = loss_weights.lambda_mono > 0
     records: list[StepRecord] = []
 
     for step in range(train_config.steps):
         batch = sample_batch(index, train_config, rng)
-        targets = mask = None
-        if variant.uses_alignment_loss:
-            mask = batch.aligned
-            targets = np.where(mask, align_target(batch.t_audio, batch.t_star, loss_weights.tau), 0.0)
         try:
-            breakdown = head.loss_and_param_grad(
-                loss_weights, train_config.objective, batch.features,
-                batch.features_next if use_mono else None, batch.t_audio, batch.labels,
-                batch.next_valid if use_mono else None, targets, mask)
+            breakdown = head.loss_and_param_grad(batch)
         except NumericError as exc:
             raise NumericError(f"{exc} at step {step}") from None
         grad_norm = head.grad_norm()
@@ -319,12 +317,8 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     return TrainReport(records=records, params=head.params)
 
 
-TRAINING_CSV_COLUMNS = ("step", "loss_total", "loss_cov", "loss_mono", "loss_l2", "loss_align", "grad_norm")
-
-
 def write_training_csv(report: TrainReport, path) -> None:
-    write_csv(path, TRAINING_CSV_COLUMNS, ((r.step, r.loss_total, r.loss_cov, r.loss_mono, r.loss_l2, r.loss_align,
-                                            r.grad_norm) for r in report.records))
+    write_csv(path, StepRecord._fields, report.records)
 
 
 def score_info_gain_grid(oracle: OracleModel, params: PolicyParams, dataset):
@@ -345,47 +339,38 @@ def grad_check(policy_config: PolicyConfig, loss_weights: LossWeights, variant: 
                seed: int = 0, *, objective: str = "cov", n_coords: int = 120) -> float:
     """Worst relative disagreement between analytic and central-difference gradients.
 
-    The analytic gradient comes from the step code that ``train`` runs; the
-    central differences, with step 1e-5, evaluate :func:`total_loss` on
-    perturbed parameters.
+    Both differentiate the step that ``train`` runs, on 16 random states: the
+    analytic gradient is that step's, and the central differences, with step
+    1e-5, take its ``total`` with one coordinate of ``theta`` moved each way.
     The relative error divides by max(|analytic|, |numeric|, 0.01), so tiny
     coordinates are held to a matching absolute tolerance.
     """
-    variant.check(policy_config)
     rng = np.random.default_rng([seed, _CHECK_STREAM])
-    batch = 16
-    feats = rng.standard_normal((batch, policy_config.input_dim))
-    feats_next = rng.standard_normal((batch, policy_config.input_dim))
-    t_audio = rng.uniform(0.0, 20.0, batch)
-    labels = rng.standard_normal(batch)
-    next_valid = rng.random(batch) < 0.8
-    targets = rng.uniform(0.05, 0.95, batch)
-    mask = rng.random(batch) < 0.7
-    if loss_weights.lambda_mono == 0:
-        feats_next = next_valid = None
-    if not variant.uses_alignment_loss:
-        targets = mask = None
-    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]), t_audio, batch)
-    head.loss_and_param_grad(loss_weights, objective, feats, feats_next, t_audio, labels,
-                             next_valid, targets, mask)
-    analytic = head.grad
-
-    def loss_at(p: PolicyParams) -> float:
-        scores = forward_batch(p, feats, t_audio)
-        q_next = None if feats_next is None else forward_batch(p, feats_next, t_audio)
-        return total_loss(scores, labels, loss_weights, q_next=q_next, next_valid=next_valid,
-                          align_targets=targets, align_mask=mask, objective=objective)[0]
+    rows = 16
+    features = rng.standard_normal((rows, policy_config.input_dim))
+    features_next = rng.standard_normal((rows, policy_config.input_dim))
+    t_audio = rng.uniform(0.0, 20.0, rows)
+    labels = rng.standard_normal(rows)
+    next_valid = rng.random(rows) < 0.8
+    t_star = t_audio + rng.uniform(-3.0, 3.0, rows) * loss_weights.tau  # alignment targets in about (0.05, 0.95)
+    aligned = rng.random(rows) < 0.7
+    batch = LabeledBatch(features=features, t_audio=t_audio, label_partial_logp=labels, label_full_logp=np.zeros(rows),
+                         t_star=t_star, aligned=aligned, features_next=features_next, next_valid=next_valid)
+    head = _FlatHead(init_params(policy_config, [seed, _CHECK_STREAM + 1]), t_audio, rows, variant, loss_weights,
+                     objective)
+    head.loss_and_param_grad(batch)
+    analytic = head.grad.copy()
 
     theta = head.theta
-    dim = theta.shape[0]
-    coords = rng.choice(dim, size=min(n_coords, dim), replace=False)
+    coords = rng.choice(theta.shape[0], size=min(n_coords, theta.shape[0]), replace=False)
     worst = 0.0
     for c in coords:
-        bumped = theta.copy()
-        bumped[c] += _FD_STEP
-        hi = loss_at(vector_to_params(policy_config, bumped))
-        bumped[c] -= 2.0 * _FD_STEP
-        lo = loss_at(vector_to_params(policy_config, bumped))
+        saved = theta[c]
+        theta[c] = saved + _FD_STEP
+        hi = head.loss_and_param_grad(batch)["total"]
+        theta[c] = saved - _FD_STEP
+        lo = head.loss_and_param_grad(batch)["total"]
+        theta[c] = saved
         numeric = (hi - lo) / (2.0 * _FD_STEP)
         err = abs(analytic[c] - numeric) / max(abs(analytic[c]), abs(numeric), 1e-2)
         worst = max(worst, err)

@@ -58,6 +58,15 @@ class TestGen:
         tmp, cfg_path, _ = workspace
         assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
 
+    def test_refused_count_leaves_the_dataset_alone(self, workspace):
+        tmp, cfg_path, _ = workspace
+        assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
+        assert not (tmp / "data.jsonl").exists()
+        main(["gen", "--config", str(cfg_path)])
+        first = digest(tmp / "data.jsonl")
+        assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
+        assert digest(tmp / "data.jsonl") == first
+
     def test_out_flag_is_refused(self, workspace, capsys):
         # gen writes only paths.dataset, so an output directory would be ignored
         tmp, cfg_path, _ = workspace

@@ -1,8 +1,15 @@
-"""The package's modules import one another without a cycle.
+"""The package's modules import one another without a cycle, and import nothing they do not use.
 
 Every import of a package module counts, at any depth: an import inside a
 function runs later than one at the top of the module, but a cycle it
 closes is still a cycle, and deferring the import only hides it.
+
+No lint tool is part of the test run, so the unused-import rule is read
+from the syntax tree here: a name that a module-level import binds must be
+read somewhere in its module, unless the import's line says
+``noqa: F401`` (a name kept so that callers, or the benchmark's tracer,
+find it on the module).  ``__init__.py`` re-exports by design and is
+exempt.
 """
 
 import ast
@@ -53,3 +60,34 @@ def test_package_import_graph_has_no_cycle():
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import of ``source`` that the module never reads, except ``noqa: F401`` lines."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+             for alias in node.names if "noqa: F401" not in lines[alias.lineno - 1]]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import numpy as np\nx = np.zeros(2)", []),
+    ("import numpy as np\n", ["np"]),
+    ("from __future__ import annotations\nimport os.path\nos.sep", []),
+    ("from .policy import (\n    forward,\n    vector_to_params,\n)\nforward()", ["vector_to_params"]),
+    ("from .losses import total_loss  # noqa: F401  (re-exported)\n", []),
+    ("def f() -> Path:\n    from json import dumps\n", []),
+    ("from typing import NamedTuple\nclass R(NamedTuple):\n    step: int\n", []),
+])
+def test_unused_imports_are_found(source, unused):
+    assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

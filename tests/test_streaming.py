@@ -112,6 +112,15 @@ class TestSimulate:
         assert log.delays_s == [0.1]
         assert log.n_forced == 1
 
+    def test_time_within_the_end_margin_forces_the_tail(self, env):
+        # three chunks reach 0.75 s, within 1e-12 of T: the source has run out,
+        # so both tokens are forced at T instead of offered to the policy
+        _, oracle, _ = env
+        utt = Utterance("edge", 0.75 + 5e-13, [3, 7], [0.3, 0.6], [False, False])
+        log = simulate(oracle, utt, WaitKPolicy(3), StreamConfig(chunk_ms=250.0))
+        assert log.delays_s == [utt.duration_s, utt.duration_s]
+        assert log.n_forced == 2
+
 
 class TestWaitK:
     def test_hand_simulated_schedule(self, env, stream):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from simulgain.synth import (
     SynthConfig,
     Utterance,
     _hash_standard_normal,
+    draw_utterances,
     generate_dataset,
     load_dataset,
     oracle_states,
@@ -371,6 +373,28 @@ class TestSerialization:
             np.testing.assert_array_equal(a.target_tokens, b.target_tokens)
             np.testing.assert_array_equal(a.boundaries_s, b.boundaries_s)
             np.testing.assert_array_equal(a.ambiguous_mask, b.ambiguous_mask)
+
+    def test_drawn_utterances_save_as_the_dataset_does(self, config, tmp_path):
+        dataset = generate_dataset(config, 12)
+        drawn, listed = tmp_path / "drawn.jsonl", tmp_path / "listed.jsonl"
+        save_dataset(draw_utterances(config, 12), drawn)
+        save_dataset(dataset, listed)
+        expected = "".join(utterance_to_json(u) + "\n" for u in dataset).encode("utf-8")
+        assert drawn.read_bytes() == listed.read_bytes() == expected
+
+    def test_saving_drawn_utterances_holds_one_at_a_time(self, config, tmp_path):
+        # the memory a saved draw needs does not grow with the count
+        def peak(count):
+            tracemalloc.start()
+            try:
+                save_dataset(draw_utterances(config, count), tmp_path / "data.jsonl")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # first-call caches
+        small, large = peak(200), peak(2000)
+        assert large < small + 32 * 1024, (small, large)
 
     def test_byte_determinism(self, config, tmp_path):
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

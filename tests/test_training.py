@@ -305,7 +305,8 @@ class TestFusedStep:
         oracle, dataset = noisy_env
         index = DatasetIndex(dataset, oracle)
         pc = PolicyConfig.for_variant(PolicyVariant.REINA_TAN, oracle.config.feature_dim)
-        head = training._FlatHead(init_params(pc, 0), index.flat_times, 2)
+        head = training._FlatHead(init_params(pc, 0), index.flat_times, 2, PolicyVariant.REINA_TAN, LossWeights(),
+                                  "cov")
         times = np.unique(index.flat_times)
         assert 2.03 in times and times.shape[0] < index.flat_times.shape[0]
         for t in times:
@@ -351,21 +352,44 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("variant", list(PolicyVariant))
     def test_checks_the_training_gradient(self, env, variant, monkeypatch):
-        # a 1% error in the fused loss gradient must show in grad_check and in train
+        # a 1% error in the fused loss gradient must show in grad_check and in
+        # train, with the monotonicity view on and off
         cfg, oracle, dataset = env
         pc = PolicyConfig.for_variant(variant, input_dim=16, hidden_dims=(12, 12))
         tc = TrainConfig(variant=variant, steps=2, batch_size=16, rng_seed=1)
-        clean = params_to_vector(train(oracle, dataset, pc, tc, LossWeights()).params)
         fused = training.loss_and_grad
 
         def skewed(*args, **kwargs):
             total, breakdown, dq, dq_next = fused(*args, **kwargs)
             return total, breakdown, 1.01 * dq, dq_next
 
-        monkeypatch.setattr(training, "loss_and_grad", skewed)
-        assert grad_check(pc, LossWeights(), variant, seed=11) > 1e-4
-        skewed_params = params_to_vector(train(oracle, dataset, pc, tc, LossWeights()).params)
-        assert skewed_params.tobytes() != clean.tobytes()
+        for weights in (LossWeights(), LossWeights(lambda_mono=0.0)):
+            clean = params_to_vector(train(oracle, dataset, pc, tc, weights).params)
+            with monkeypatch.context() as patch:
+                patch.setattr(training, "loss_and_grad", skewed)
+                assert grad_check(pc, weights, variant, seed=11) > 1e-4
+                skewed_params = params_to_vector(train(oracle, dataset, pc, tc, weights).params)
+            assert skewed_params.tobytes() != clean.tobytes()
+
+    @pytest.mark.parametrize("variant", list(PolicyVariant))
+    def test_trains_and_checks_the_same_terms(self, env, variant, monkeypatch):
+        # train and grad_check run one step, so both build alignment targets
+        # exactly for the variants that train the alignment term
+        cfg, oracle, dataset = env
+        pc = PolicyConfig.for_variant(variant, input_dim=16, hidden_dims=(12, 12))
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return align_target(*args, **kwargs)
+
+        monkeypatch.setattr(training, "align_target", recording)
+        train(oracle, dataset, pc, TrainConfig(variant=variant, steps=3, batch_size=16, rng_seed=1), LossWeights())
+        trained, calls[:] = len(calls), []
+        assert grad_check(pc, LossWeights(), variant, seed=11, n_coords=5) <= 1e-4
+        expected = variant in (PolicyVariant.REINA_SAN, PolicyVariant.REINA_ALL)
+        assert trained == (3 if expected else 0)
+        assert (len(calls) > 0) == expected
 
     def test_seed_stable(self):
         pc = PolicyConfig.for_variant(PolicyVariant.REINA_ALL, input_dim=16)
