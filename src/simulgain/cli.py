@@ -233,8 +233,7 @@ def cmd_report(args) -> int:
     offline = _offline_quality(oracle, dataset)
     out = _out_dir(cfg)
 
-    nose_rows = []
-    bins_by_variant: dict[str, list] = {}
+    nose_rows, bins_rows = [], []
     mid = 0.5 * (cfg.band.x + cfg.band.y)
     for sweep_dir in args.sweeps:
         sweep_path = Path(sweep_dir)
@@ -247,18 +246,16 @@ def cmd_report(args) -> int:
         nose_rows.append((variant, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))
         logs = load_logs(sweep_path / f"logs_{pick:02d}.jsonl")
-        bins_by_variant[variant] = latency_vs_position(logs, dataset, cfg.report_bins)
+        bins_rows.append((variant, latency_vs_position(logs, dataset, cfg.report_bins)))
 
     write_nose_csv(nose_rows, out / "nose.csv")
-    write_latency_bins_csv(bins_by_variant, out / "latency_bins.csv")
+    write_latency_bins_csv(bins_rows, out / "latency_bins.csv")
 
     utt = dataset[0]
-    grid = oracle.frame_grid(utt)
-    rows = []
-    for n in range(utt.n_tokens):
-        gains = oracle.info_gain_many(utt, grid, np.full(grid.shape[0], n, dtype=np.int64))
-        rows.extend((t, n, g) for t, g in zip(grid, gains))
-    write_csv(out / "info_gain_grid.csv", ("t_s", "token_index", "info_gain"), rows)
+    n, t = np.meshgrid(np.arange(utt.n_tokens), oracle.frame_grid(utt), indexing="ij")
+    gains = oracle.info_gain_many(utt, t, n)
+    write_csv(out / "info_gain_grid.csv", ("t_s", "token_index", "info_gain"),
+              zip(t.ravel(), n.ravel(), gains.ravel()))
 
     print(f"offline quality (full-audio BLEU): {offline:.2f}")
     for variant, band, value in nose_rows:

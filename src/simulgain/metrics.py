@@ -174,7 +174,11 @@ def latency_vs_position(logs, dataset, bins: int) -> list[BinStat]:
     """
     if bins < 1:
         raise MetricError("bins must be >= 1")
-    by_id = {u.id: u for u in dataset}
+    by_id = {}
+    for u in dataset:
+        if u.id in by_id:
+            raise MetricError(f"dataset repeats utterance id {u.id}")
+        by_id[u.id] = u
     positions, lateness = [], []
     for log in logs:
         utt = by_id.get(log.utt_id)
@@ -259,7 +263,7 @@ def write_nose_csv(rows, path) -> None:
               ((variant, band.x, band.y, value) for variant, band, value in rows))
 
 
-def write_latency_bins_csv(bins_by_variant: dict, path) -> None:
+def write_latency_bins_csv(rows, path) -> None:
+    """Rows are (variant, [BinStat]), one per sweep, written in order."""
     write_csv(path, ("variant", "bin_center", "mean_latency_s", "ci_low", "ci_high", "count"),
-              ((variant, s.center, s.mean, s.ci_low, s.ci_high, s.count)
-               for variant, stats in bins_by_variant.items() for s in stats))
+              ((variant, s.center, s.mean, s.ci_low, s.ci_high, s.count) for variant, stats in rows for s in stats))

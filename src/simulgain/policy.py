@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -111,13 +111,13 @@ def time_embedding(t_audio, d: int, base: float = 100.0) -> np.ndarray:
 
 def _net_input(params: PolicyParams, features: np.ndarray, t_audio, embedding=None, out=None) -> np.ndarray:
     cfg = params.config
-    if features.ndim != 2 or features.shape[1] != cfg.input_dim:
+    if features.ndim < 2 or features.shape[-1] != cfg.input_dim:
         raise ShapeError(f"features shape {features.shape} incompatible with input_dim={cfg.input_dim}")
     if not cfg.use_time_embedding:
         return features
     t = np.asarray(t_audio, dtype=np.float64)
-    if t.shape != (features.shape[0],):
-        raise ShapeError(f"t_audio shape {t.shape} does not match batch size {features.shape[0]}")
+    if t.shape != features.shape[:-1]:
+        raise ShapeError(f"t_audio shape {t.shape} does not match batch shape {features.shape[:-1]}")
     if embedding is None:
         embedding = time_embedding(t, cfg.input_dim, cfg.time_base)
     elif embedding.shape != features.shape:
@@ -129,6 +129,8 @@ def forward_with_cache(params: PolicyParams, features, t_audio, *, embedding: np
                        out=None):
     """Batched forward pass; returns (scores, per-layer activations for backprop).
 
+    ``features`` is a batch of rows or a stack of batches, scored as if one
+    at a time; ``t_audio`` and the scores have ``features.shape[:-1]``.
     ``embedding`` is ``time_embedding(t_audio, ...)`` computed by the caller,
     so two passes at the same audio times can share it.  ``out`` is an
     optional list of arrays shaped like the activations: the net input, when
@@ -146,7 +148,7 @@ def forward_with_cache(params: PolicyParams, features, t_audio, *, embedding: np
         h += b
         h = np.tanh(h, h)
         activations.append(h)
-    scores = (h @ params.weights[-1] + params.biases[-1])[:, 0]
+    scores = (h @ params.weights[-1] + params.biases[-1])[..., 0]
     return scores, activations
 
 
@@ -228,15 +230,9 @@ def vector_to_params(config: PolicyConfig, vector: np.ndarray) -> PolicyParams:
 # same parameters yields byte-identical files.
 
 def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
-    cfg = params.config
     arrays = [*params.weights, *params.biases]
     header = {
-        "config": {
-            "input_dim": cfg.input_dim,
-            "hidden_dims": list(cfg.hidden_dims),
-            "use_time_embedding": cfg.use_time_embedding,
-            "time_base": cfg.time_base,
-        },
+        "config": asdict(params.config),
         "extra": extra or {},
         "shapes": [list(a.shape) for a in arrays],
     }

@@ -95,9 +95,7 @@ class ThresholdPolicy:
         self.oracle = oracle
         self.params = params.copy()
         self.alpha = setting(alpha, Threshold, "alpha")
-        # id(utt) -> (utt, {t_s: scores by token}); holding the utterance keeps
-        # its id from being reused while the table lives
-        self._scores: dict[int, tuple[Utterance, dict[float, list[float]]]] = {}
+        self._scores: dict[Utterance, dict[float, list[float]]] = {}  # utt -> {t_s: scores by token}
 
     def with_alpha(self, alpha: float) -> ThresholdPolicy:
         """This policy at threshold ``alpha``, sharing its params copy and score table."""
@@ -106,10 +104,9 @@ class ThresholdPolicy:
         return other
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
-        entry = self._scores.get(id(utt))
-        if entry is None:
-            entry = self._scores[id(utt)] = (utt, {})
-        rows = entry[1]
+        rows = self._scores.get(utt)
+        if rows is None:
+            rows = self._scores[utt] = {}
         row = rows.get(t_s)
         if row is None:
             t = np.full(utt.n_tokens, t_s)

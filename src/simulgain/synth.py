@@ -126,9 +126,9 @@ def oracle_states(config: SynthConfig, t_s, t_star, ambiguous=None, utt_key=None
     return prob, evidence
 
 
-@dataclass
+@dataclass(eq=False)
 class Utterance:
-    """One synthetic source/target pair with known emission boundaries."""
+    """One synthetic source/target pair with known emission boundaries; it equals only itself, so it can key a dict."""
 
     id: str
     duration_s: float
@@ -239,16 +239,16 @@ class OracleModel:
     # -- features ----------------------------------------------------------
 
     def mix_features(self, token_ids, evidence, relpos) -> np.ndarray:
-        """Assemble feature rows from their parts and apply the fixed mixer."""
+        """Mix part arrays of one shape into features of that shape plus ``(feature_dim,)``."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        parts = np.empty((token_ids.shape[0], self.config.feature_dim))
-        parts[:, :-2] = self.token_embeddings[token_ids]
-        parts[:, -2] = evidence
-        parts[:, -1] = relpos
+        parts = np.empty(token_ids.shape + (self.config.feature_dim,))
+        parts[..., :-2] = self.token_embeddings[token_ids]
+        parts[..., -2] = evidence
+        parts[..., -1] = relpos
         return parts @ self.mixing_matrix
 
     def features_many(self, utt: Utterance, t_s, n) -> np.ndarray:
-        """Feature matrix for parallel (t_s, n) arrays of one utterance."""
+        """Features of (t_s, n) arrays of one shape, one utterance's states; shaped ``n.shape + (feature_dim,)``."""
         n = np.asarray(n, dtype=np.int64)
         _, evidence = oracle_states(self.config, t_s, utt.boundaries_s[n], utt.ambiguous_mask[n], utt.key, n)
         return self.mix_features(utt.target_tokens[n], evidence, n / utt.n_tokens)

@@ -322,16 +322,15 @@ def write_training_csv(report: TrainReport, path) -> None:
 
 
 def score_info_gain_grid(oracle: OracleModel, params: PolicyParams, dataset):
-    """Policy scores and exact gains over the full (frame, token) grid of a dataset."""
+    """Policy scores and exact gains over the full (frame, token) grid of a dataset, frame-major.
+
+    Each frame's scores are, bit for bit, the row that ``ThresholdPolicy`` fills at that time.
+    """
     scores, gains = [], []
     for utt in dataset:
-        grid = oracle.frame_grid(utt)
-        tokens = utt.n_tokens
-        t_rep = np.repeat(grid, tokens)
-        n_rep = np.tile(np.arange(tokens, dtype=np.int64), grid.shape[0])
-        feats = oracle.features_many(utt, t_rep, n_rep)
-        scores.append(forward_batch(params, feats, t_rep))
-        gains.append(oracle.info_gain_many(utt, t_rep, n_rep))
+        t, n = np.meshgrid(oracle.frame_grid(utt), np.arange(utt.n_tokens), indexing="ij")
+        scores.append(forward_batch(params, oracle.features_many(utt, t, n), t).ravel())
+        gains.append(oracle.info_gain_many(utt, t, n).ravel())
     return np.concatenate(scores), np.concatenate(gains)
 
 

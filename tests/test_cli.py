@@ -213,6 +213,27 @@ class TestSweepAndReport:
         bins_lines = (tmp / "report" / "latency_bins.csv").read_text().splitlines()
         assert bins_lines[0] == "variant,bin_center,mean_latency_s,ci_low,ci_high,count"
 
+    def test_report_keeps_the_bins_of_every_sweep(self, pipeline):
+        # two sweeps of one variant: each sweep's bins, in --sweeps order
+        tmp, cfg_path, _ = pipeline
+        assert main(["sweep", "--config", str(cfg_path), "--alphas", "0.5,-0.5", "--out", str(tmp / "sweep2")]) == 0
+        rows = {}
+        for name, sweeps in (("a", ["sweep"]), ("b", ["sweep2"]), ("ab", ["sweep", "sweep2"])):
+            assert main(["report", "--config", str(cfg_path), "--sweeps", *(str(tmp / s) for s in sweeps),
+                         "--out", str(tmp / name)]) == 0
+            rows[name] = (tmp / name / "latency_bins.csv").read_text().splitlines()
+        assert rows["ab"] == rows["a"] + rows["b"][1:]
+
+    def test_repeated_utterance_id_is_numeric_failure(self, pipeline, capsys):
+        tmp, cfg_path, _ = pipeline
+        data = tmp / "data.jsonl"
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        records[1]["id"] = records[0]["id"]
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", "--config", str(cfg_path), "--sweeps", str(tmp / "sweep"),
+                     "--out", str(tmp / "report")]) == 4
+        assert f"dataset repeats utterance id {records[0]['id']}" in capsys.readouterr().err
+
     def test_info_gain_grid_zero_at_full_audio(self, pipeline):
         tmp, cfg_path, config = pipeline
         main(["report", "--config", str(cfg_path), "--sweeps", str(tmp / "sweep"),

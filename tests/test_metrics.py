@@ -268,6 +268,14 @@ class TestLatencyVsPosition:
         with pytest.raises(MetricError, match="unknown"):
             latency_vs_position([make_log([1.0], 2.0, uid="ghost")], self.fixture_dataset(), bins=2)
 
+    def test_repeated_utterance_id_rejected(self):
+        # both logs would be scored against the later utterance's boundaries
+        ds = self.fixture_dataset()
+        twin = Utterance(id="u", duration_s=4.0, target_tokens=[1, 2, 3], boundaries_s=[0.5, 1.5, 2.5],
+                         ambiguous_mask=[False] * 3)
+        with pytest.raises(MetricError, match="repeats utterance id u"):
+            latency_vs_position([make_log([1.0, 2.0, 3.0], 4.0)], ds + [twin], bins=3)
+
     def test_ci_shrinks_with_count(self):
         ds = self.fixture_dataset()
         rng = np.random.default_rng(0)
@@ -316,6 +324,6 @@ class TestCsvFiles:
         write_nose_csv([("REINA", LatencyBand(1.0, 2.0), 0.9)], nose_path)
         assert nose_path.read_text().splitlines()[0] == "variant,band_x,band_y,nose"
         bins_path = tmp_path / "bins.csv"
-        write_latency_bins_csv({"REINA": [BinStat(0.5, 1.0, 0.9, 1.1, 4)]}, bins_path)
+        write_latency_bins_csv([("REINA", [BinStat(0.5, 1.0, 0.9, 1.1, 4)])], bins_path)
         assert bins_path.read_text().splitlines()[0] == \
             "variant,bin_center,mean_latency_s,ci_low,ci_high,count"

@@ -139,6 +139,22 @@ class TestForward:
         np.testing.assert_allclose(forward_batch(params, feats[perm], times[perm]), base[perm],
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_stack_scores_each_batch_as_alone(self, params, rows):
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal((4, rows, DIM))
+        times = rng.uniform(0, 10, (4, rows))
+        stacked = forward_batch(params, feats, times)
+        assert stacked.shape == (4, rows)
+        for f in range(4):
+            np.testing.assert_array_equal(stacked[f], forward_batch(params, feats[f], times[f]))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 1), ()])
+    def test_time_shape_must_be_the_batch_shape(self, shape):
+        p = init_params(PolicyConfig.for_variant(PolicyVariant.REINA_TAN, DIM), 0)
+        with pytest.raises(ShapeError, match="t_audio"):
+            forward_batch(p, np.zeros((2, 3, DIM)), np.zeros(shape))
+
     def test_empty_batch(self, params):
         assert forward_batch(params, np.empty((0, DIM)), np.empty(0)).shape == (0,)
 

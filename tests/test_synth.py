@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import tracemalloc
@@ -99,6 +100,12 @@ class TestGeneration:
             assert np.all(np.diff(u.boundaries_s) > 0)
             assert 0 < u.boundaries_s[0] and u.boundaries_s[-1] <= u.duration_s
             assert u.n_tokens == len(u.boundaries_s) == len(u.ambiguous_mask)
+
+    def test_utterance_equals_and_hashes_as_itself(self, dataset):
+        utt = dataset[0]
+        twin = copy.deepcopy(utt)
+        assert utt == utt and utt != twin
+        assert {utt: "utt", twin: "twin"}[twin] == "twin"
 
     def test_ambiguity_recorded_at_generation(self):
         cfg = SynthConfig(ambiguity_prob=0.5, rng_seed=11)
@@ -330,6 +337,9 @@ class TestFeatures:
         many = oracle.features_many(utt, ts, ns)
         for row, (t, n) in zip(many, zip(ts, ns)):
             np.testing.assert_allclose(row, oracle.features(utt, float(t), int(n)), atol=1e-15)
+        stacked = oracle.features_many(utt, ts[:, None], ns[:, None])  # any matching shape, plus feature_dim
+        assert stacked.shape == (3, 1, oracle.config.feature_dim)
+        np.testing.assert_allclose(stacked[:, 0], many, atol=1e-15)
 
 
 class TestWriteBoundary:

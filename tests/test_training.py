@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from simulgain import training
+from simulgain import streaming, training
 from simulgain.errors import ConfigError, NumericError
 from simulgain.losses import LossWeights, align_target, total_loss, total_loss_grad
 from simulgain.policy import (
     PolicyConfig,
     PolicyVariant,
     backward_from_cache,
+    forward,
+    forward_batch,
     forward_with_cache,
     init_params,
     params_to_vector,
     time_embedding,
 )
+from simulgain.streaming import ThresholdPolicy
 from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, Utterance, generate_dataset, oracle_states
 from simulgain.training import (
     TrainConfig,
@@ -414,15 +417,30 @@ class TestGradCheck:
         assert all(np.all(g == 0) for g in gw + gb)
 
 
-def test_score_grid_matches_pointwise(env):
-    cfg, oracle, dataset = env
-    pc = policy_config(PolicyVariant.REINA, cfg)
-    params = init_params(pc, 1)
-    scores, gains = score_info_gain_grid(oracle, params, dataset[:2])
-    utt = dataset[0]
-    grid_len = len(oracle.frame_grid(utt)) * utt.n_tokens
-    assert gains[:grid_len].min() >= 0.0
-    from simulgain.policy import forward
+def test_score_grid_matches_pointwise(monkeypatch):
+    # each frame's grid scores are, bit for bit, the row a ThresholdPolicy fills at that time
+    # (a loop over the variants rather than a parameter keeps the test's id)
+    cfg = SynthConfig(rng_seed=21, tokens_per_utt_range=(1, 5), noise_std=0.3, ambiguity_prob=0.3)
+    oracle, dataset = OracleModel(cfg), generate_dataset(cfg, 8)
+    assert min(u.n_tokens for u in dataset) == 1
+    filled = []
 
-    got = forward(params, oracle.features(utt, 0.0, 0), 0.0)
-    assert scores[0] == pytest.approx(got, abs=1e-12)
+    def recording_forward_batch(params, features, t_audio):
+        filled.append(forward_batch(params, features, t_audio))
+        return filled[-1]
+
+    monkeypatch.setattr(streaming, "forward_batch", recording_forward_batch)
+    for variant in PolicyVariant:
+        params = init_params(PolicyConfig.for_variant(variant, cfg.feature_dim, hidden_dims=(16,)), 1)
+        scores, gains = score_info_gain_grid(oracle, params, dataset)
+        filled.clear()
+        policy = ThresholdPolicy(oracle, params, 0.0)
+        for utt in dataset:
+            for t_s in oracle.frame_grid(utt).tolist():
+                policy.wants_read(utt, t_s, 0, 1)
+        np.testing.assert_array_equal(scores, np.concatenate(filled), err_msg=variant.value)
+        assert gains.min() >= 0.0
+
+        utt = dataset[0]
+        got = forward(params, oracle.features(utt, 0.0, 0), 0.0)
+        assert scores[0] == pytest.approx(got, abs=1e-12)
