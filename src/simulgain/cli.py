@@ -1,4 +1,4 @@
-"""Command-line front end: dataset generation, training, simulation, sweeps, reports.
+"""Command-line front end: dataset generation, training, threshold sweeps, reports.
 
 All commands read one JSON config file (every section optional, defaults
 apply) plus a few overriding flags whose names mirror the config fields.
@@ -177,19 +177,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    """A sweep of one threshold that keeps its emission logs."""
-    cfg = load_config(args.config, args.seed, args.out)
-    alpha = cfg.stream.alpha if args.alpha is None else args.alpha
-    dataset, oracle, params, _ = _stream_inputs(cfg)
-    [point], logs_by_alpha = sweep(oracle, params, dataset, [alpha], cfg.stream, collect_logs=True)
-    out = _out_dir(cfg)
-    save_logs(logs_by_alpha[alpha], out / "emission_logs.jsonl")
-    print(f"alpha={alpha}: mean LAAL {point.mean_laal_s:.3f} s, BLEU {point.quality:.2f}, "
-          f"read loops {point.read_loop_pct:.1f}% -> {out / 'emission_logs.jsonl'}")
-    return 0
-
-
 def _parse_alpha(position: int, item: str) -> float:
     try:
         return float(item)
@@ -286,11 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--objective", choices=["cov", "mse"], default=None)
     p_train.set_defaults(func=cmd_train)
-
-    p_sim = sub.add_parser("simulate", help="stream the dataset at one threshold")
-    add_common(p_sim)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep producing pareto.csv")
     add_common(p_sweep)

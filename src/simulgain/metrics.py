@@ -197,12 +197,10 @@ def latency_vs_position(logs, dataset, bins: int) -> list[BinStat]:
         raise MetricError("no emitted tokens to bin")
     pos = np.concatenate(positions)
     late = np.concatenate(lateness)
-    which = np.minimum((pos * bins).astype(np.int64), bins - 1)
+    which = np.minimum(np.floor(pos * bins), bins - 1)  # floats: an int64 cast overflows at bins near 2**63
     out = []
-    for k in range(bins):
+    for k in np.unique(which).tolist():
         values = late[which == k]
-        if values.size == 0:
-            continue
         mean = float(values.mean())
         half = float(1.96 * values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
         out.append(BinStat(center=(k + 0.5) / bins, mean=mean,
@@ -220,11 +218,13 @@ def _average_ranks(values) -> np.ndarray:
 
 
 def spearman(a, b) -> float:
-    """Rank correlation with average ranks for ties."""
+    """Rank correlation with average ranks for ties; undefined, so an error, unless both sides vary."""
     ra = _average_ranks(a)
     rb = _average_ranks(b)
     if ra.shape != rb.shape:
         raise ShapeError(f"length mismatch: {ra.shape[0]} vs {rb.shape[0]}")
+    if not (ra.size and np.any(ra != ra[0]) and np.any(rb != rb[0])):
+        raise MetricError(f"spearman is undefined on {ra.size} pairs unless both sides take two values")
     return float(np.corrcoef(ra, rb)[0, 1])
 
 

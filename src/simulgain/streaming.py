@@ -29,7 +29,6 @@ _END_EPS = 1e-12  # a time within this of T has exhausted the source (for a dela
 @dataclass(frozen=True)
 class StreamConfig:
     chunk_ms: float = 250.0
-    alpha: Threshold = 0.0
 
     def __post_init__(self):
         check_settings(self)

@@ -12,6 +12,7 @@ from simulgain.cli import ExperimentConfig, main
 from simulgain.errors import Threshold
 from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params
+from simulgain.streaming import StreamConfig, save_logs, sweep
 from simulgain.synth import OracleModel, SynthConfig, load_dataset
 from simulgain.training import TrainConfig
 
@@ -203,6 +204,18 @@ class TestSweepAndReport:
         main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")])
         assert digest(tmp / "sweep" / "pareto.csv") == first
 
+    @pytest.mark.parametrize("alpha", ["-inf", "0.0", "0.37", "inf"])
+    def test_one_alpha_sweep_keeps_the_logs_of_the_library_sweep(self, pipeline, alpha):
+        # streaming the dataset once at one threshold is a sweep of one alpha
+        tmp, cfg_path, config = pipeline
+        assert main(["sweep", "--config", str(cfg_path), f"--alphas={alpha}", "--out", str(tmp / "one")]) == 0
+        params, _ = load_params(config["paths"]["checkpoint"])
+        oracle = OracleModel(SynthConfig(**config["synth"]))
+        _, logs = sweep(oracle, params, load_dataset(config["paths"]["dataset"]), [float(alpha)],
+                        StreamConfig(**config["stream"]), collect_logs=True)
+        save_logs(logs[float(alpha)], tmp / "library.jsonl")
+        assert (tmp / "one" / "logs_00.jsonl").read_bytes() == (tmp / "library.jsonl").read_bytes()
+
     def test_report_outputs(self, pipeline):
         tmp, cfg_path, _ = pipeline
         assert main(["report", "--config", str(cfg_path), "--sweeps", str(tmp / "sweep"),
@@ -282,8 +295,8 @@ NAN = float("nan")
     ("sweep", ["--alphas", "nan"], "alpha"),
     ("sweep", ["--alphas", "0.0,nan"], "alpha"),
     ("sweep", {"alphas": [0.0, NAN]}, "alphas"),
-    ("simulate", ["--alpha", "nan"], "alpha"),
-    ("simulate", {"stream": {"alpha": NAN}}, "alpha"),
+    ("sweep", {"alphas": [NAN]}, "alphas"),
+    ("sweep", ["--alphas=-inf,nan"], "alpha"),
     ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
     *[("train", {"loss": {name: NAN}}, name) for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau")],
     ("train", {"loss": {"bn_epsilon": NAN}}, "loss.bn_epsilon"),  # no longer a field
@@ -385,15 +398,14 @@ def _bad_number_cases():
 
 def test_bad_number_cases_cover_thresholds_and_infinity():
     ids = {case.id for case in _bad_number_cases()}
-    assert {"stream.alpha-nan", "alphas-nan", "synth.frame_ms-inf", "time_base-inf", "band-inf",
+    assert {"alphas-nan", "synth.frame_ms-inf", "time_base-inf", "band-inf",
             "synth.vocab_size-int64", "train.batch_size-int64", "hidden_dims-int64"} <= ids
-    assert not {"stream.alpha-inf", "alphas-inf"} & ids
+    assert "alphas-inf" not in ids
 
 
 def test_infinite_thresholds_are_accepted(workspace):
     tmp, cfg_path, config = workspace
     config["alphas"] = [math.inf, -math.inf]
-    config["stream"]["alpha"] = -math.inf
     cfg_path.write_text(json.dumps(config))
     assert main(["gen", "--config", str(cfg_path)]) == 0
 
@@ -500,7 +512,8 @@ def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):
 
 @pytest.mark.parametrize("section, name, value", [("train", "t_grid", "uniform"),
                                                   ("train", "samples_per_utterance", 5),
-                                                  ("loss", "bn_epsilon", 1e-5)])
+                                                  ("loss", "bn_epsilon", 1e-5),
+                                                  ("stream", "alpha", 0.0)])
 def test_removed_setting_is_unknown_field(workspace, capsys, section, name, value):
     tmp, cfg_path, config = workspace
     main(["gen", "--config", str(cfg_path)])
@@ -510,18 +523,6 @@ def test_removed_setting_is_unknown_field(workspace, capsys, section, name, valu
     assert main(["train", "--config", str(cfg_path)]) == 2
     assert f"config error: {section}.{name}: unknown field" in capsys.readouterr().err
     assert not (tmp / "policy.ckpt").exists()
-
-
-class TestSimulateCommand:
-    def test_writes_logs(self, workspace):
-        tmp, cfg_path, _ = workspace
-        main(["gen", "--config", str(cfg_path)])
-        main(["train", "--config", str(cfg_path)])
-        assert main(["simulate", "--config", str(cfg_path), "--alpha", "0.0"]) == 0
-        from simulgain.streaming import load_logs
-
-        logs = load_logs(tmp / "out" / "emission_logs.jsonl")
-        assert len(logs) == 8
 
 
 class TestBadInputFiles:
@@ -539,9 +540,8 @@ class TestBadInputFiles:
         tmp, cfg_path, config = trained
         ckpt = tmp / "policy.ckpt"
         ckpt.write_bytes(ckpt.read_bytes()[:-3])
-        assert main(["simulate", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"checkpoint {ckpt}: malformed or truncated" in err
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        assert f"checkpoint {ckpt}: malformed or truncated" in capsys.readouterr().err
 
     def test_checkpoint_extra_not_an_object(self, trained, capsys):
         tmp, cfg_path, config = trained
@@ -582,10 +582,9 @@ class TestBadInputFiles:
 
     def test_checkpoint_for_another_synth_config(self, trained, capsys):
         tmp, cfg_path, config = trained
-        for argv in (["sweep", "--out", str(tmp / "sweep99")], ["simulate", "--out", str(tmp / "sim99")]):
-            assert main([*argv, "--config", str(cfg_path), "--seed", "99"]) == 2
-            err = capsys.readouterr().err
-            assert str(tmp / "policy.ckpt") in err and "rng_seed 5 in the checkpoint, 99 in the config" in err
+        assert main(["sweep", "--out", str(tmp / "sweep99"), "--config", str(cfg_path), "--seed", "99"]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp / "policy.ckpt") in err and "rng_seed 5 in the checkpoint, 99 in the config" in err
 
     def test_checkpoint_without_synth_config(self, trained, capsys):
         tmp, cfg_path, config = trained
@@ -635,7 +634,7 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert f"config error: {kind} {sweep_dir / pattern.split('*')[0]}" in err and ": not UTF-8 text" in err
 
-    @pytest.mark.parametrize("command", ["train", "simulate", "sweep", "report"])
+    @pytest.mark.parametrize("command", ["train", "sweep", "report"])
     @pytest.mark.parametrize("token", [50, 60])
     def test_token_outside_the_vocabulary(self, swept, capsys, command, token):
         cfg_path, sweep_dir = swept
@@ -643,8 +642,7 @@ class TestBadInputFiles:
         records = [json.loads(line) for line in data.read_text().splitlines()]
         records[1]["tokens"][-1] = token  # the synth config's vocab_size is the default 50
         data.write_text("".join(json.dumps(r) + "\n" for r in records))
-        argv = {"train": ["--steps", "2"], "simulate": ["--out", str(sweep_dir.parent / "sim")],
-                "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
+        argv = {"train": ["--steps", "2"], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
                 "report": ["--sweeps", str(sweep_dir), "--out", str(sweep_dir.parent / "report")]}[command]
         assert main([command, "--config", str(cfg_path), *argv]) == 2
         err = capsys.readouterr().err

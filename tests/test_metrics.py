@@ -264,6 +264,15 @@ class TestLatencyVsPosition:
         stats = latency_vs_position(logs, ds, bins=10)
         assert len(stats) == 3  # positions 0, 0.5, 1.0 only
 
+    @pytest.mark.parametrize("bins", [2**62, 2**63 - 1])
+    def test_huge_bin_count_visits_only_occupied_bins(self, bins):
+        # one bin per emitted token at most, however many bins a 64-bit report_bins asks for
+        logs = [make_log([1.0, 2.0, 3.0], 4.0), make_log([1.5, 2.5, 3.5], 4.0)]
+        stats = latency_vs_position(logs, self.fixture_dataset(), bins=bins)
+        assert len(stats) <= 6
+        assert sum(s.count for s in stats) == 6
+        assert all(0 < s.center <= 1 for s in stats)  # the last center rounds to 1.0
+
     def test_unknown_utterance_rejected(self):
         with pytest.raises(MetricError, match="unknown"):
             latency_vs_position([make_log([1.0], 2.0, uid="ghost")], self.fixture_dataset(), bins=2)
@@ -301,6 +310,17 @@ class TestSpearman:
         rb = np.array([1.0, 2.0, 3.0, 4.0])
         want = float(np.corrcoef(ra, rb)[0, 1])
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [([], []), ([1.0], [2.0]), ([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]),
+                                      ([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])])
+    def test_undefined_correlation_rejected(self, a, b):
+        # no pairs, one pair, or a constant side: the rank variance is 0, so rho is undefined
+        with pytest.raises(MetricError, match="spearman is undefined"):
+            spearman(a, b)
+
+    def test_length_mismatch_is_shape_error(self):
+        with pytest.raises(ShapeError, match="length mismatch"):
+            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestCsvFiles:

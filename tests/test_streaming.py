@@ -155,8 +155,7 @@ class TestThresholds:
         params = init_params(PolicyConfig(input_dim=cfg.feature_dim, hidden_dims=(4,)))
         for build in (lambda: ThresholdPolicy(oracle, params, math.nan),
                       lambda: ThresholdPolicy(oracle, params, 0.0).with_alpha(math.nan),
-                      lambda: GainThresholdPolicy(oracle, math.nan),
-                      lambda: StreamConfig(alpha=math.nan)):
+                      lambda: GainThresholdPolicy(oracle, math.nan)):
             with pytest.raises(ConfigError, match="NaN|gain_threshold"):
                 build()
 
@@ -165,7 +164,6 @@ class TestThresholds:
         params = init_params(PolicyConfig(input_dim=cfg.feature_dim, hidden_dims=(4,)))
         for alpha in (-math.inf, math.inf):
             ThresholdPolicy(oracle, params, 0.0).with_alpha(alpha)
-            StreamConfig(alpha=alpha)
         GainThresholdPolicy(oracle, -math.inf)
         GainThresholdPolicy(oracle, math.inf)
         with pytest.raises(ConfigError, match="gain_threshold"):
