@@ -186,9 +186,10 @@ def _parse_alpha(position: int, item: str) -> float:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
+    if args.alphas is not None:  # the flag's list passes the config field's rule before any file is read
+        parsed = [_parse_alpha(i, item) for i, item in enumerate(args.alphas.split(","), start=1)]
+        cfg.alphas = setting(parsed, tuple[Threshold, ...], "alphas")
     alphas = cfg.alphas
-    if args.alphas is not None:
-        alphas = tuple(_parse_alpha(i, item) for i, item in enumerate(args.alphas.split(","), start=1))
     require(len(alphas) > 0, "alphas", "must be provided in the config or via --alphas")
     dataset, oracle, params, extra = _stream_inputs(cfg)
     points, logs_by_alpha = sweep(oracle, params, dataset, alphas, cfg.stream, collect_logs=True)
@@ -222,7 +223,7 @@ def cmd_report(args) -> int:
 
     nose_rows, bins_rows = [], []
     mid = 0.5 * (cfg.band.x + cfg.band.y)
-    for sweep_dir in args.sweeps:
+    for index, sweep_dir in enumerate(args.sweeps, start=1):  # a row names its sweep by position
         sweep_path = Path(sweep_dir)
         meta_path = sweep_path / "meta.json"
         try:
@@ -230,10 +231,10 @@ def cmd_report(args) -> int:
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"sweep meta {meta_path}: malformed ({exc!r})") from None
         points = read_pareto_csv(sweep_path / "pareto.csv")
-        nose_rows.append((variant, cfg.band, nose(points, offline, cfg.band)))
+        nose_rows.append((variant, index, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))
         logs = load_logs(sweep_path / f"logs_{pick:02d}.jsonl")
-        bins_rows.append((variant, latency_vs_position(logs, dataset, cfg.report_bins)))
+        bins_rows.append((variant, index, latency_vs_position(logs, dataset, cfg.report_bins)))
 
     write_nose_csv(nose_rows, out / "nose.csv")
     write_latency_bins_csv(bins_rows, out / "latency_bins.csv")
@@ -245,7 +246,7 @@ def cmd_report(args) -> int:
               zip(t.ravel(), n.ravel(), gains.ravel()))
 
     print(f"offline quality (full-audio BLEU): {offline:.2f}")
-    for variant, band, value in nose_rows:
+    for variant, _, band, value in nose_rows:
         print(f"NoSE[{band.x}, {band.y}] {variant}: {value:.4f}")
     print(f"wrote {out / 'nose.csv'}, {out / 'latency_bins.csv'}, {out / 'info_gain_grid.csv'}")
     return 0
@@ -287,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["sweep"]:  # argparse takes `-inf` or `-0.5,0.5` for an option, so join it to its flag
+        for i in reversed(range(1, len(argv) - 1)):
+            # `--a` .. `--alphas`: every spelling argparse accepts, as no other sweep option starts `--a`
+            if len(argv[i]) > 2 and "--alphas".startswith(argv[i]) and not argv[i + 1].startswith("--"):
+                argv[i:i + 2] = [f"--alphas={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -258,12 +258,13 @@ def read_pareto_csv(path) -> list[ParetoPoint]:
 
 
 def write_nose_csv(rows, path) -> None:
-    """Rows are (variant, LatencyBand, nose_value)."""
-    write_csv(path, ("variant", "band_x", "band_y", "nose"),
-              ((variant, band.x, band.y, value) for variant, band, value in rows))
+    """Rows are (variant, sweep's 1-based position in --sweeps, LatencyBand, nose_value); nose stays last."""
+    write_csv(path, ("variant", "sweep", "band_x", "band_y", "nose"),
+              ((variant, sweep, band.x, band.y, value) for variant, sweep, band, value in rows))
 
 
 def write_latency_bins_csv(rows, path) -> None:
-    """Rows are (variant, [BinStat]), one per sweep, written in order."""
-    write_csv(path, ("variant", "bin_center", "mean_latency_s", "ci_low", "ci_high", "count"),
-              ((variant, s.center, s.mean, s.ci_low, s.ci_high, s.count) for variant, stats in rows for s in stats))
+    """Rows are (variant, sweep, [BinStat]), one per sweep, written in order."""
+    write_csv(path, ("variant", "sweep", "bin_center", "mean_latency_s", "ci_low", "ci_high", "count"),
+              ((variant, sweep, s.center, s.mean, s.ci_low, s.ci_high, s.count)
+               for variant, sweep, stats in rows for s in stats))

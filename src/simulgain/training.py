@@ -213,27 +213,25 @@ class _FlatHead:
         self.grads = vector_views(config, self.grad)
         self._next_grad = np.zeros_like(self.theta)
         self._next_grads = vector_views(config, self._next_grad)
-        self._squares = np.zeros_like(self.theta)
-        self._square_views = [a for part in vector_views(config, self._squares) for a in part]
-        self._table_times = self._table = self._embedding = None
+        self._table_times = self._table = None
         if config.use_time_embedding:
             self._table_times = np.unique(times)
             self._table = time_embedding(self._table_times, config.input_dim, config.time_base)
-            self._embedding = np.empty((rows, config.input_dim))
 
         def activations():
-            net_input = None if self._embedding is None else np.empty_like(self._embedding)
+            net_input = np.empty((rows, config.input_dim)) if config.use_time_embedding else None
             return [net_input] + [np.empty((rows, h)) for h in config.hidden_dims]
 
         self._activations = activations(), activations()
         self._scratch = [(np.empty((rows, h)), np.empty((rows, h))) for h in config.hidden_dims]
 
-    def embedding(self, t_audio, out=None) -> np.ndarray:
+    def embedding(self, t_audio) -> np.ndarray:
         """``time_embedding(t_audio, ...)`` of the head, gathered from its table.
 
         Every entry of ``t_audio`` must be one of the times the head was built with.
+        No workspace: numpy buffers ``take(out=)`` under ``mode='raise'``, an extra copy.
         """
-        return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0, out=out)
+        return np.take(self._table, np.searchsorted(self._table_times, t_audio), axis=0)
 
     def loss_and_param_grad(self, batch: LabeledBatch) -> dict[str, float]:
         """Loss breakdown of one step on ``batch``; leaves d(total)/d(theta) in ``grad``.
@@ -242,7 +240,7 @@ class _FlatHead:
         step from the table and added to both token views.
         """
         params, weights, t_audio = self.params, self.weights, batch.t_audio
-        embedding = self.embedding(t_audio, out=self._embedding) if params.config.use_time_embedding else None
+        embedding = self.embedding(t_audio) if params.config.use_time_embedding else None
         acts, acts_next = self._activations
         scores, cache = forward_with_cache(params, batch.features, t_audio, embedding=embedding, out=acts)
         scores_next = cache_next = next_valid = targets = mask = None
@@ -264,16 +262,6 @@ class _FlatHead:
             backward_from_cache(params, cache_next, dq_next, out=self._next_grads, scratch=self._scratch)
             self.grad += self._next_grad
         return breakdown
-
-    def grad_norm(self) -> float:
-        """Euclidean norm of ``grad``.
-
-        The squares are summed layer by layer and the layer sums added in
-        order: one sum over the flat vector rounds differently, and the
-        training CSV's ``grad_norm`` column keeps its bits.
-        """
-        np.multiply(self.grad, self.grad, out=self._squares)
-        return float(np.sqrt(sum(float(a.sum()) for a in self._square_views)))
 
 
 def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
@@ -305,7 +293,9 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
             breakdown = head.loss_and_param_grad(batch)
         except NumericError as exc:
             raise NumericError(f"{exc} at step {step}") from None
-        grad_norm = head.grad_norm()
+        # a numpy sum, not np.dot or np.linalg.norm, whose BLAS may split the
+        # vector across threads and round differently with their number
+        grad_norm = float(np.sqrt(np.square(head.grad).sum()))
 
         lr = train_config.lr
         if train_config.warmup_steps:

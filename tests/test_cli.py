@@ -221,10 +221,11 @@ class TestSweepAndReport:
         assert main(["report", "--config", str(cfg_path), "--sweeps", str(tmp / "sweep"),
                      "--out", str(tmp / "report")]) == 0
         nose_lines = (tmp / "report" / "nose.csv").read_text().splitlines()
-        assert nose_lines[0] == "variant,band_x,band_y,nose"
-        assert nose_lines[1].startswith("REINA,")
+        assert nose_lines[0] == "variant,sweep,band_x,band_y,nose"
+        assert nose_lines[1].startswith("REINA,1,")
         bins_lines = (tmp / "report" / "latency_bins.csv").read_text().splitlines()
-        assert bins_lines[0] == "variant,bin_center,mean_latency_s,ci_low,ci_high,count"
+        assert bins_lines[0] == "variant,sweep,bin_center,mean_latency_s,ci_low,ci_high,count"
+        assert all(line.startswith("REINA,1,") for line in bins_lines[1:])
 
     def test_report_keeps_the_bins_of_every_sweep(self, pipeline):
         # two sweeps of one variant: each sweep's bins, in --sweeps order
@@ -235,7 +236,12 @@ class TestSweepAndReport:
             assert main(["report", "--config", str(cfg_path), "--sweeps", *(str(tmp / s) for s in sweeps),
                          "--out", str(tmp / name)]) == 0
             rows[name] = (tmp / name / "latency_bins.csv").read_text().splitlines()
-        assert rows["ab"] == rows["a"] + rows["b"][1:]
+        # the sweep column is the sweep's 1-based position in --sweeps
+        assert all(line.startswith("REINA,1,") for line in rows["a"][1:] + rows["b"][1:])
+        second = [line.replace("REINA,1,", "REINA,2,", 1) for line in rows["b"][1:]]
+        assert rows["ab"] == rows["a"] + second
+        nose_lines = (tmp / "ab" / "nose.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in nose_lines[1:]] == [["REINA", "1"], ["REINA", "2"]]
 
     def test_repeated_utterance_id_is_numeric_failure(self, pipeline, capsys):
         tmp, cfg_path, _ = pipeline
@@ -288,15 +294,38 @@ def test_bad_alphas_flag_is_config_error(workspace, capsys, alphas, item):
     assert not (tmp / "sweep").exists()
 
 
+@pytest.mark.parametrize("alphas", ["nan", "0.5,nan", "-inf,nan"])
+def test_alphas_flag_is_checked_before_any_file_is_read(workspace, capsys, alphas):
+    # no dataset exists: the flag's list must fail the alphas rule, not the read
+    tmp, cfg_path, _ = workspace
+    assert main(["sweep", "--config", str(cfg_path), "--alphas", alphas, "--out", str(tmp / "sweep")]) == 2
+    assert "config error: alphas: must be a number and not NaN" in capsys.readouterr().err
+    assert not (tmp / "sweep").exists()
+
+
+@pytest.mark.parametrize("flag, alphas", [("--alphas", "-0.5,0.5"), ("--alphas", "-inf"),
+                                         ("--alphas", "-inf,-0.5,inf"), ("--alpha", "-inf"), ("--a", "-0.5,0.5")])
+def test_alphas_flag_may_start_with_a_minus(workspace, flag, alphas):
+    # every spelling argparse takes for --alphas, abbreviations included
+    tmp, cfg_path, _ = workspace
+    main(["gen", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path), "--steps", "2"])
+    assert main(["sweep", "--config", str(cfg_path), flag, alphas, "--out", str(tmp / "spaced")]) == 0
+    assert main(["sweep", "--config", str(cfg_path), f"--alphas={alphas}", "--out", str(tmp / "joined")]) == 0
+    spaced = {p.name: p.read_bytes() for p in (tmp / "spaced").iterdir()}
+    assert spaced == {p.name: p.read_bytes() for p in (tmp / "joined").iterdir()}
+    assert len(spaced) == 2 + len(alphas.split(","))
+
+
 NAN = float("nan")
 
 
 @pytest.mark.parametrize("command, setting, field", [
-    ("sweep", ["--alphas", "nan"], "alpha"),
-    ("sweep", ["--alphas", "0.0,nan"], "alpha"),
+    ("sweep", ["--alphas", "nan"], "alphas"),
+    ("sweep", ["--alphas", "0.0,nan"], "alphas"),
     ("sweep", {"alphas": [0.0, NAN]}, "alphas"),
     ("sweep", {"alphas": [NAN]}, "alphas"),
-    ("sweep", ["--alphas=-inf,nan"], "alpha"),
+    ("sweep", ["--alphas=-inf,nan"], "alphas"),
     ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
     *[("train", {"loss": {name: NAN}}, name) for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau")],
     ("train", {"loss": {"bn_epsilon": NAN}}, "loss.bn_epsilon"),  # no longer a field

@@ -341,9 +341,9 @@ class TestCsvFiles:
 
     def test_nose_and_bins_headers(self, tmp_path):
         nose_path = tmp_path / "nose.csv"
-        write_nose_csv([("REINA", LatencyBand(1.0, 2.0), 0.9)], nose_path)
-        assert nose_path.read_text().splitlines()[0] == "variant,band_x,band_y,nose"
+        write_nose_csv([("REINA", 1, LatencyBand(1.0, 2.0), 0.9)], nose_path)
+        assert nose_path.read_text().splitlines() == ["variant,sweep,band_x,band_y,nose", "REINA,1,1.0,2.0,0.9"]
         bins_path = tmp_path / "bins.csv"
-        write_latency_bins_csv([("REINA", [BinStat(0.5, 1.0, 0.9, 1.1, 4)])], bins_path)
-        assert bins_path.read_text().splitlines()[0] == \
-            "variant,bin_center,mean_latency_s,ci_low,ci_high,count"
+        write_latency_bins_csv([("REINA", 1, [BinStat(0.5, 1.0, 0.9, 1.1, 4)])], bins_path)
+        assert bins_path.read_text().splitlines() == \
+            ["variant,sweep,bin_center,mean_latency_s,ci_low,ci_high,count", "REINA,1,0.5,1.0,0.9,1.1,4"]

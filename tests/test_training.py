@@ -258,7 +258,7 @@ def reference_train(oracle, dataset, pc, tc, weights):
             grads_w = [g + e for g, e in zip(grads_w, extra_w)]
             grads_b = [g + e for g, e in zip(grads_b, extra_b)]
         grads = [*grads_w, *grads_b]
-        grad_norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+        grad_norm = float(np.sqrt(np.square(np.concatenate([g.ravel() for g in grads])).sum()))
         lr = tc.lr
         if tc.warmup_steps:
             lr *= min(1.0, (step + 1) / tc.warmup_steps)
