@@ -166,14 +166,12 @@ def forward(params: PolicyParams, features, t_audio: float) -> float:
 
 
 def backward_from_cache(params: PolicyParams, activations, upstream,
-                        out=None, scratch=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                        out=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Exact gradients of sum(upstream * scores) w.r.t. weights and biases.
 
     ``out`` is an optional (weights, biases) pair of arrays shaped like the
     parameters, e.g. views of one flat vector; the gradients are written
-    into them and returned.  ``scratch`` is an optional list holding, for
-    each hidden layer k, two arrays shaped like ``activations[k + 1]``; the
-    temporaries ``delta @ W.T`` and ``1 - a**2`` are written into them.
+    into them and returned.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (activations[0].shape[0],):
@@ -186,11 +184,8 @@ def backward_from_cache(params: PolicyParams, activations, upstream,
         np.matmul(activations[i].T, delta, out=grads_w[i])
         np.sum(delta, axis=0, out=grads_b[i])
         if i:
-            back, slope = (None, None) if scratch is None else scratch[i - 1]
-            back = np.matmul(delta, params.weights[i].T, out=back)
-            slope = np.square(activations[i], out=slope)
-            np.subtract(1.0, slope, out=slope)
-            delta = np.multiply(back, slope, out=back)
+            delta = delta @ params.weights[i].T
+            delta *= 1.0 - np.square(activations[i])
     return grads_w, grads_b
 
 

@@ -84,10 +84,12 @@ class ThresholdPolicy:
     A decision at ``(utt, t_s, n)`` looks its score up in a table with one
     row of per-token scores for each audio time of each utterance.  A miss
     fills the whole row with one ``features_many`` and ``forward_batch``
-    call, as a backbone decodes a prefix once for every pending token.  The
-    params are copied when the policy is built, so training them further in
-    place cannot mix stale and fresh scores.  :meth:`with_alpha` gives a
-    policy at another threshold that shares the copy and the table.
+    call, as a backbone decodes a prefix once for every pending token.
+    :func:`sweep` fills every decision row of an utterance before its first
+    decision, in one stacked call whose rows equal the miss path's bit for
+    bit.  The params are copied when the policy is built, so training them
+    further in place cannot mix stale and fresh scores.  :meth:`with_alpha`
+    gives a policy at another threshold that shares the copy and the table.
     """
 
     def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
@@ -112,6 +114,14 @@ class ThresholdPolicy:
             features = self.oracle.features_many(utt, t, np.arange(utt.n_tokens))
             row = rows[t_s] = forward_batch(self.params, features, t).tolist()
         return row[n] > self.alpha
+
+    def _fill(self, utt: Utterance, chunk: float) -> None:
+        """Score every decision row of ``utt`` in one stacked call, each row as a miss would."""
+        times = _decision_times(utt, chunk)
+        if times:
+            t, n = np.meshgrid(times, np.arange(utt.n_tokens), indexing="ij")
+            scores = forward_batch(self.params, self.oracle.features_many(utt, t, n), t)
+            self._scores[utt] = dict(zip(times, scores.tolist()))
 
 
 class GainThresholdPolicy:
@@ -138,6 +148,21 @@ class WaitKPolicy:
         return n > chunks_read - self.k
 
 
+def _consumed(chunks_read: int, chunk: float, duration: float) -> float:
+    """Audio consumed after ``chunks_read`` chunks, the time a decision or write is made at."""
+    return min(chunks_read * chunk, duration)
+
+
+def _decision_times(utt: Utterance, chunk: float) -> list[float]:
+    """Every time :func:`simulate` can ask ``wants_read`` at: each consumed time short of the end."""
+    times = []
+    t = _consumed(1, chunk, utt.duration_s)
+    while t < utt.duration_s - _END_EPS:
+        times.append(t)
+        t = _consumed(len(times) + 1, chunk, utt.duration_s)
+    return times
+
+
 def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) -> EmissionLog:
     """Run one utterance through the chunked read/write loop.
 
@@ -152,13 +177,13 @@ def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) 
     duration = utt.duration_s
     chunk = config.chunk_s
     chunks_read = 1
-    t = min(chunk, duration)
+    t = _consumed(chunks_read, chunk, duration)
     delays: list[float] = []
     n = 0
     while n < utt.n_tokens and t < duration - _END_EPS:
         if policy.wants_read(utt, t, n, chunks_read):
             chunks_read += 1
-            t = min(chunks_read * chunk, duration)
+            t = _consumed(chunks_read, chunk, duration)
         else:
             delays.append(t)
             n += 1
@@ -176,14 +201,18 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     ``policy_factory(alpha)`` overrides the default threshold policy, which
     lets reference policies reuse the same harness.  The default policies of
     all alphas share one score table (:meth:`ThresholdPolicy.with_alpha`),
-    so each token row is filled once per sweep.  Output order follows the
-    input alphas.
+    filled before the first alpha with one stacked call per utterance over
+    all of its decision times, so every decision of the sweep is a table
+    hit.  Output order follows the input alphas.
     """
     alphas = [setting(alpha, Threshold, "alpha") for alpha in alphas]
     require(len(alphas) > 0, "alphas", "must be non-empty")
     if policy_factory is None:
         require(params is not None, "params", "required unless a policy_factory is given")
-        policy_factory = ThresholdPolicy(oracle, params, alphas[0]).with_alpha
+        policy = ThresholdPolicy(oracle, params, alphas[0])
+        for utt in dataset:
+            policy._fill(utt, config.chunk_s)
+        policy_factory = policy.with_alpha
     refs = [list(u.target_tokens) for u in dataset]
     points = []
     logs_by_alpha: dict[float, list[EmissionLog]] = {}

@@ -194,8 +194,8 @@ class _FlatHead:
     built from each row's boundary.  ``params`` views ``theta`` and ``grads``
     views ``grad``, each one flat vector, so the optimizer updates every layer
     at once and both backward passes of a step land in one buffer.  Both
-    token views' activations and the backward temporaries live in workspaces
-    allocated once for ``rows``, the row count of every step.
+    token views' activations live in workspaces allocated once for ``rows``,
+    the row count of every step.
 
     ``times`` are every audio time the steps will see.  A head with a time
     embedding computes their embeddings once, into a table the steps gather
@@ -223,7 +223,6 @@ class _FlatHead:
             return [net_input] + [np.empty((rows, h)) for h in config.hidden_dims]
 
         self._activations = activations(), activations()
-        self._scratch = [(np.empty((rows, h)), np.empty((rows, h))) for h in config.hidden_dims]
 
     def embedding(self, t_audio) -> np.ndarray:
         """``time_embedding(t_audio, ...)`` of the head, gathered from its table.
@@ -257,9 +256,9 @@ class _FlatHead:
         for term in ("cov", "mono", "l2", "align", "total"):
             if not math.isfinite(breakdown[term]):
                 raise NumericError(f"non-finite {term} loss")
-        backward_from_cache(params, cache, dq, out=self.grads, scratch=self._scratch)
+        backward_from_cache(params, cache, dq, out=self.grads)
         if dq_next is not None:
-            backward_from_cache(params, cache_next, dq_next, out=self._next_grads, scratch=self._scratch)
+            backward_from_cache(params, cache_next, dq_next, out=self._next_grads)
             self.grad += self._next_grad
         return breakdown
 

@@ -430,30 +430,98 @@ class TestDecodeAfterScan:
                     one = [forward(params, oracle.features(utt, t_s, n), t_s) for n in range(utt.n_tokens)]
                     np.testing.assert_allclose(row, one, rtol=0, atol=1e-12, err_msg=f"{utt.id} t={t_s}")
 
+    @staticmethod
+    def record_sweep(patch, oracle):
+        """Patch the module so a sweep records, per ``forward_batch`` call, the utterance it scores,
+        whether the alpha loop had started, and the times; and the policies ``simulate`` got."""
+        filled, policies, current = [], [], []
+        features_many = oracle.features_many
+
+        def recording_features_many(utt, t_s, n):
+            current.append(utt.id)
+            return features_many(utt, t_s, n)
+
+        def recording_forward_batch(params, features, t_audio):
+            filled.append((current[-1], bool(policies), np.array(t_audio)))
+            return forward_batch(params, features, t_audio)
+
+        def recording_simulate(oracle, utt, policy, config):
+            policies.append(policy)
+            return simulate(oracle, utt, policy, config)
+
+        patch.setattr(oracle, "features_many", recording_features_many)
+        patch.setattr(streaming, "forward_batch", recording_forward_batch)
+        patch.setattr(streaming, "simulate", recording_simulate)
+        return filled, policies
+
     @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
     def test_sweep_scores_each_state_once(self, world, chunk_ms, monkeypatch):
         cfg, oracle, dataset = world
         config = StreamConfig(chunk_ms=chunk_ms)
         for variant, params, alphas in self.heads(cfg, oracle, dataset):
+            assert -math.inf in alphas  # always reading asks every decision row of every utterance
             want, asked = {}, []
             for alpha in alphas:
                 reference = RecordingPolicy(RowThresholdPolicy(oracle, params, alpha))
                 want[alpha] = [emission_log_to_json(simulate(oracle, u, reference, config)) for u in dataset]
                 asked += [(utt.id, t_s, n) for utt, t_s, n, _, _ in reference.calls]
-            filled = []
-
-            def counting_forward_batch(params, features, t_audio):
-                filled.append(t_audio)
-                return forward_batch(params, features, t_audio)
-
             with monkeypatch.context() as patch:
-                patch.setattr(streaming, "forward_batch", counting_forward_batch)
+                filled, _ = self.record_sweep(patch, oracle)
                 _, logs = sweep(oracle, params, dataset, alphas, config, collect_logs=True)
             for alpha in alphas:
                 assert [emission_log_to_json(log) for log in logs[float(alpha)]] == want[alpha], variant
-            # every alpha of the sweep shares one table: a time asked again fills no row again
-            rows = {(utt_id, t_s) for utt_id, t_s, _ in asked}
-            assert len(filled) == len(rows) < len(set(asked)), variant
+            # one stacked call per utterance, all before the first alpha, each row a whole token row at one time
+            assert sorted(utt_id for utt_id, _, _ in filled) == sorted(u.id for u in dataset), variant
+            assert not any(in_loop for _, in_loop, _ in filled), variant
+            n_tokens = {u.id: u.n_tokens for u in dataset}
+            assert all(t.shape == (len(t), n_tokens[utt_id]) and (t == t[:, :1]).all()
+                       for utt_id, _, t in filled), variant
+            # its rows are the distinct rows the table-free reference asks, none filled twice
+            rows = [(utt_id, t_s) for utt_id, _, t in filled for t_s in t[:, 0].tolist()]
+            assert len(rows) == len(set(rows)), variant
+            assert set(rows) == {(utt_id, t_s) for utt_id, t_s, _ in asked}, variant
+            assert len(rows) < len(set(asked)), variant  # a row serves every token pending at its time
+
+    @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
+    def test_sweep_rows_equal_the_miss_path(self, world, chunk_ms, monkeypatch):
+        # a stacked row must be the row a fresh policy fills at that time through wants_read, float for float
+        cfg, oracle, dataset = world
+        config = StreamConfig(chunk_ms=chunk_ms)
+        for variant, params, alphas in self.heads(cfg, oracle, dataset):
+            with monkeypatch.context() as patch:
+                _, policies = self.record_sweep(patch, oracle)
+                sweep(oracle, params, dataset, alphas[:2], config)
+            table = policies[0]._scores
+            assert all(policy._scores is table for policy in policies)
+            assert set(table) == set(dataset), variant
+            for utt, rows in table.items():
+                for t_s, row in rows.items():
+                    fresh = ThresholdPolicy(oracle, params, 0.0)
+                    fresh.wants_read(utt, t_s, 0, 1)
+                    assert row == fresh._scores[utt][t_s], (variant, utt.id, t_s)
+
+    def test_sweep_with_a_factory_scores_nothing_up_front(self, world, monkeypatch):
+        cfg, oracle, dataset = world
+        _, params, alphas = next(self.heads(cfg, oracle, dataset))
+        with monkeypatch.context() as patch:
+            filled, _ = self.record_sweep(patch, oracle)
+            got = sweep(oracle, None, dataset, alphas, StreamConfig(),
+                        policy_factory=lambda a: ThresholdPolicy(oracle, params, a), collect_logs=True)
+        assert filled and all(in_loop for _, in_loop, _ in filled)  # only misses inside the alpha loop
+        assert got == sweep(oracle, params, dataset, alphas, StreamConfig(), collect_logs=True)
+
+    def test_utterance_without_decisions_makes_no_fill(self, world, monkeypatch):
+        # shorter than one chunk, or exactly one chunk long: the source runs out before any decision
+        cfg, oracle, dataset = world
+        _, params, alphas = next(self.heads(cfg, oracle, dataset))
+        short = [Utterance(id=f"short{i}", duration_s=d, target_tokens=[1, 2], boundaries_s=[0.05, 0.1],
+                           ambiguous_mask=[False, False]) for i, d in enumerate((0.1, 0.25))]
+        with monkeypatch.context() as patch:
+            filled, _ = self.record_sweep(patch, oracle)
+            _, logs = sweep(oracle, params, short, alphas, StreamConfig(chunk_ms=250.0), collect_logs=True)
+        assert filled == []
+        assert all(log.delays_s == [utt.duration_s] * 2 for alpha_logs in logs.values()
+                   for log, utt in zip(alpha_logs, short))
 
     def test_table_keys_on_the_utterance_and_its_time(self, world):
         # one policy streams two utterances of one id and both chunk sizes; each log must be

@@ -334,9 +334,8 @@ class TestFusedStep:
             grads_w, grads_b = backward_from_cache(params, cache, upstream)
             # stale buffers: every entry must be overwritten
             acts = [None if w is None else np.full((rows, w), np.nan) for w in layer_shapes]
-            scratch = [(np.full((rows, h), np.nan), np.full((rows, h), np.nan)) for h in hidden]
             b_scores, b_cache = forward_with_cache(params, feats, times, out=acts)
-            b_grads_w, b_grads_b = backward_from_cache(params, b_cache, upstream, scratch=scratch)
+            b_grads_w, b_grads_b = backward_from_cache(params, b_cache, upstream)
             assert b_scores.tobytes() == scores.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, b_cache))
             assert all(b is a for a, b in zip(acts[1:], b_cache[1:]))
