@@ -117,8 +117,9 @@ def _synth_record(synth: SynthConfig) -> dict:
 
 
 def _load_dataset(cfg: ExperimentConfig):
-    """The dataset, with every token id checked against the oracle's vocabulary."""
+    """The dataset, refused when empty, with every token id checked against the oracle's vocabulary."""
     dataset = load_dataset(cfg.paths.dataset)
+    require(bool(dataset), f"dataset {cfg.paths.dataset}", "holds no utterances")
     vocab = cfg.synth.vocab_size
     for utt in dataset:
         top = int(utt.target_tokens.max())
@@ -208,17 +209,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _offline_quality(oracle: OracleModel, dataset) -> float:
-    hyps = [oracle.greedy_tokens(utt, utt.duration_s, np.arange(utt.n_tokens)) for utt in dataset]
-    return bleu(hyps, [list(u.target_tokens) for u in dataset])
-
-
 def cmd_report(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     require(cfg.band is not None, "band", "required for report (set \"band\": [x, y] in the config)")
     dataset = _load_dataset(cfg)
     oracle = OracleModel(cfg.synth)
-    offline = _offline_quality(oracle, dataset)
+    offline = bleu([oracle.greedy_tokens(utt, utt.duration_s, np.arange(utt.n_tokens)) for utt in dataset],
+                   [list(u.target_tokens) for u in dataset])  # the full-audio quality NoSE divides by
     out = _out_dir(cfg)
 
     nose_rows, bins_rows = [], []

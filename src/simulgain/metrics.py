@@ -103,14 +103,9 @@ def bleu(hyps, refs) -> float:
             ref_counts = _ngram_counts(list(ref), order)
             matched += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
             total += max(len(hyp) - order + 1, 0)
-        if order == 1:
-            if matched == 0:
-                return 0.0
-            precision = matched / total
-        elif matched == 0:
-            precision = (matched + 1) / (total + 1)
-        else:
-            precision = matched / total
+        if matched == 0 and order == 1:
+            return 0.0
+        precision = matched / total if matched else 1 / (total + 1)  # add-one smoothing for n >= 2
         log_precision_sum += np.log(precision)
     brevity = 1.0 if hyp_len > ref_len else float(np.exp(1.0 - ref_len / hyp_len))
     return float(100.0 * brevity * np.exp(log_precision_sum / 4.0))
@@ -189,10 +184,7 @@ def latency_vs_position(logs, dataset, bins: int) -> list[BinStat]:
             continue
         delays = np.asarray(log.delays_s[:count], dtype=np.float64)
         lateness.append(delays - utt.boundaries_s[:count])
-        if utt.n_tokens > 1:
-            positions.append(np.arange(count) / (utt.n_tokens - 1))
-        else:
-            positions.append(np.zeros(count))
+        positions.append(np.arange(count) / max(utt.n_tokens - 1, 1))  # a lone token sits at 0
     if not positions:
         raise MetricError("no emitted tokens to bin")
     pos = np.concatenate(positions)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,41 +79,37 @@ class EmissionLog:
         return self.n_before_end == 0
 
 
-class ThresholdPolicy:
-    """Read while the learned score exceeds the threshold alpha.
+class _ScoreTablePolicy:
+    """Read while the pending token's score, from the subclass's ``_score``, exceeds the threshold alpha.
 
-    A decision at ``(utt, t_s, n)`` looks its score up in a table with one
-    row of per-token scores for each audio time of each utterance.  A miss
-    fills the whole row with one ``features_many`` and ``forward_batch``
-    call, as a backbone decodes a prefix once for every pending token.
-    :func:`sweep` fills every decision row of an utterance before its first
-    decision, in one stacked call whose rows equal the miss path's bit for
-    bit.  The params are copied when the policy is built, so training them
-    further in place cannot mix stale and fresh scores.  :meth:`with_alpha`
-    gives a policy at another threshold that shares the copy and the table.
+    Scores live in a table with one row of per-token scores for each audio
+    time of each utterance.  A miss fills the whole row with one ``_score``
+    call, as a backbone decodes a prefix once for every pending token;
+    :func:`sweep` fills every decision row of an utterance in one stacked
+    call whose rows equal the miss path's bit for bit.  :meth:`with_alpha`
+    gives a policy at another threshold, checked by ``_threshold``, that shares the table.
     """
 
-    def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
+    def __init__(self, oracle: OracleModel, alpha: float):
         self.oracle = oracle
-        self.params = params.copy()
-        self.alpha = setting(alpha, Threshold, "alpha")
-        self._scores: dict[Utterance, dict[float, list[float]]] = {}  # utt -> {t_s: scores by token}
+        self.alpha = self._threshold(alpha)
+        self._scores: dict[Utterance, dict[float, list[float]]] = defaultdict(dict)  # utt -> {t_s: scores by token}
 
-    def with_alpha(self, alpha: float) -> ThresholdPolicy:
-        """This policy at threshold ``alpha``, sharing its params copy and score table."""
+    @staticmethod
+    def _threshold(alpha: float) -> float:
+        return setting(alpha, Threshold, "alpha")
+
+    def with_alpha(self, alpha: float) -> _ScoreTablePolicy:
+        """This policy at threshold ``alpha``, sharing its score table."""
         other = copy.copy(self)
-        other.alpha = setting(alpha, Threshold, "alpha")
+        other.alpha = self._threshold(alpha)
         return other
 
     def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
-        rows = self._scores.get(utt)
-        if rows is None:
-            rows = self._scores[utt] = {}
+        rows = self._scores[utt]
         row = rows.get(t_s)
         if row is None:
-            t = np.full(utt.n_tokens, t_s)
-            features = self.oracle.features_many(utt, t, np.arange(utt.n_tokens))
-            row = rows[t_s] = forward_batch(self.params, features, t).tolist()
+            row = rows[t_s] = self._score(utt, np.full(utt.n_tokens, t_s), np.arange(utt.n_tokens)).tolist()
         return row[n] > self.alpha
 
     def _fill(self, utt: Utterance, chunk: float) -> None:
@@ -120,21 +117,34 @@ class ThresholdPolicy:
         times = _decision_times(utt, chunk)
         if times:
             t, n = np.meshgrid(times, np.arange(utt.n_tokens), indexing="ij")
-            scores = forward_batch(self.params, self.oracle.features_many(utt, t, n), t)
-            self._scores[utt] = dict(zip(times, scores.tolist()))
+            self._scores[utt] = dict(zip(times, self._score(utt, t, n).tolist()))
 
 
-class GainThresholdPolicy:
-    """Perfectly calibrated reference policy: read while the exact gain exceeds the threshold."""
+class ThresholdPolicy(_ScoreTablePolicy):
+    """Read while the learned score exceeds alpha, scored with the params as they were when the policy was built."""
+
+    def __init__(self, oracle: OracleModel, params: PolicyParams, alpha: float):
+        self.params = params.copy()
+        super().__init__(oracle, alpha)
+
+    def _score(self, utt: Utterance, t_s: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return forward_batch(self.params, self.oracle.features_many(utt, t_s, n), t_s)
+
+
+class GainThresholdPolicy(_ScoreTablePolicy):
+    """Perfectly calibrated reference policy: read while the exact gain (``info_gain_many``) exceeds the threshold."""
 
     def __init__(self, oracle: OracleModel, gain_threshold: float):
-        self.oracle = oracle
-        self.gain_threshold = setting(gain_threshold, Threshold, "gain_threshold")
-        require(self.gain_threshold >= 0 or self.gain_threshold == -math.inf, "gain_threshold",
-                "must be >= 0 (or -inf for always-write)")
+        super().__init__(oracle, gain_threshold)
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
-        return self.oracle.true_info_gain(utt, t_s, n) > self.gain_threshold
+    @staticmethod
+    def _threshold(gain_threshold: float) -> float:
+        gain = setting(gain_threshold, Threshold, "gain_threshold")
+        require(gain >= 0 or gain == -math.inf, "gain_threshold", "must be >= 0 (or -inf for always-write)")
+        return gain
+
+    def _score(self, utt: Utterance, t_s: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return self.oracle.info_gain_many(utt, t_s, n)
 
 
 class WaitKPolicy:
@@ -199,14 +209,14 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
 
     Each alpha must be a number other than NaN, and is passed on as a float.
     ``policy_factory(alpha)`` overrides the default threshold policy, which
-    lets reference policies reuse the same harness.  The default policies of
-    all alphas share one score table (:meth:`ThresholdPolicy.with_alpha`),
-    filled before the first alpha with one stacked call per utterance over
-    all of its decision times, so every decision of the sweep is a table
-    hit.  Output order follows the input alphas.
+    lets reference policies reuse the same harness; a bound ``with_alpha``
+    shares one table over all alphas.  The default policies do, and their
+    table is filled before the first alpha, so every decision of the sweep
+    is a table hit.  Output order follows the input alphas.
     """
     alphas = [setting(alpha, Threshold, "alpha") for alpha in alphas]
     require(len(alphas) > 0, "alphas", "must be non-empty")
+    require(bool(dataset), "dataset", "must be non-empty")
     if policy_factory is None:
         require(params is not None, "params", "required unless a policy_factory is given")
         policy = ThresholdPolicy(oracle, params, alphas[0])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -677,6 +678,22 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert (f"config error: dataset {data}: utterance {records[1]['id']}: token id {token} "
                 "is not below synth.vocab_size 50") in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "report"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank_lines"])
+    def test_dataset_without_utterances(self, swept, capsys, command, text):
+        # refused once, where the dataset is loaded, before any mean over no utterances can warn
+        cfg_path, sweep_dir = swept
+        data = sweep_dir.parent / "data.jsonl"
+        data.write_text(text)
+        argv = {"train": ["--steps", "2"], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
+                "report": ["--sweeps", str(sweep_dir), "--out", str(sweep_dir.parent / "report")]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(cfg_path), *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: dataset {data}: holds no utterances" in err
+        assert "RuntimeWarning" not in err and not caught, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("bins", [0, -3])
     def test_report_bins_below_one_is_config_error(self, swept, capsys, bins):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,7 +156,8 @@ class TestThresholds:
         params = init_params(PolicyConfig(input_dim=cfg.feature_dim, hidden_dims=(4,)))
         for build in (lambda: ThresholdPolicy(oracle, params, math.nan),
                       lambda: ThresholdPolicy(oracle, params, 0.0).with_alpha(math.nan),
-                      lambda: GainThresholdPolicy(oracle, math.nan)):
+                      lambda: GainThresholdPolicy(oracle, math.nan),
+                      lambda: GainThresholdPolicy(oracle, 0.5).with_alpha(math.nan)):
             with pytest.raises(ConfigError, match="NaN|gain_threshold"):
                 build()
 
@@ -166,8 +168,13 @@ class TestThresholds:
             ThresholdPolicy(oracle, params, 0.0).with_alpha(alpha)
         GainThresholdPolicy(oracle, -math.inf)
         GainThresholdPolicy(oracle, math.inf)
-        with pytest.raises(ConfigError, match="gain_threshold"):
-            GainThresholdPolicy(oracle, -1.0)
+        for gain in (-math.inf, math.inf):
+            GainThresholdPolicy(oracle, 0.5).with_alpha(gain)
+        # with_alpha applies the constructor's rule, so a negative finite threshold is refused either way
+        for build in (lambda: GainThresholdPolicy(oracle, -1.0),
+                      lambda: GainThresholdPolicy(oracle, 0.5).with_alpha(-1.0)):
+            with pytest.raises(ConfigError, match="^gain_threshold: must be >= 0"):
+                build()
 
 
 class TestReadLoop:
@@ -231,6 +238,16 @@ class TestSweep:
         cfg, oracle, dataset = env
         with pytest.raises(ConfigError):
             sweep(oracle, None, dataset, [], stream, policy_factory=lambda a: None)
+
+    def test_empty_dataset_rejected(self, env, stream):
+        # refused before the mean LAAL of no utterances, over which numpy warns
+        cfg, oracle, _ = env
+        params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA, cfg.feature_dim), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for factory in (None, lambda g: GainThresholdPolicy(oracle, g)):
+                with pytest.raises(ConfigError, match="^dataset: must be non-empty$"):
+                    sweep(oracle, params, [], [0.5], stream, policy_factory=factory)
 
 
 class TestLogSerialization:
@@ -353,6 +370,16 @@ class RowThresholdPolicy:
         return row_scores(self.oracle, self.params, utt, t_s)[n] > self.alpha
 
 
+class GainRowPolicy:
+    """``GainThresholdPolicy`` without its table: every decision asks the oracle for the one exact gain."""
+
+    def __init__(self, oracle, gain_threshold):
+        self.oracle, self.gain_threshold = oracle, gain_threshold
+
+    def wants_read(self, utt, t_s, n, chunks_read):
+        return self.oracle.true_info_gain(utt, t_s, n) > self.gain_threshold
+
+
 def row_scores(oracle, params, utt, t_s):
     t = np.full(utt.n_tokens, t_s)
     return forward_batch(params, oracle.features_many(utt, t, np.arange(utt.n_tokens)), t)
@@ -405,7 +432,8 @@ class TestDecodeAfterScan:
         cfg, oracle, dataset = world
         config = StreamConfig(chunk_ms=chunk_ms)
         pairs = [(lambda k=k: WaitKPolicy(k),) * 2 for k in (0, 2, 5)]
-        pairs += [(lambda g=g: GainThresholdPolicy(oracle, g),) * 2 for g in (0.0, 0.05, 0.5, -math.inf)]
+        pairs += [(lambda g=g: GainThresholdPolicy(oracle, g), lambda g=g: GainRowPolicy(oracle, g))
+                  for g in (0.0, 0.05, 0.5, -math.inf, math.inf)]
         for _, params, alphas in self.heads(cfg, oracle, dataset):
             pairs += [(lambda p=params, a=a: ThresholdPolicy(oracle, p, a),
                        lambda p=params, a=a: RowThresholdPolicy(oracle, p, a)) for a in alphas]
@@ -499,6 +527,28 @@ class TestDecodeAfterScan:
                     fresh = ThresholdPolicy(oracle, params, 0.0)
                     fresh.wants_read(utt, t_s, 0, 1)
                     assert row == fresh._scores[utt][t_s], (variant, utt.id, t_s)
+
+    @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
+    def test_gain_sweep_shares_one_table(self, world, chunk_ms):
+        # a bound with_alpha gives every threshold the same gain rows; -inf reads through every decision row
+        cfg, oracle, dataset = world
+        config = StreamConfig(chunk_ms=chunk_ms)
+        thresholds = [0.0, *np.geomspace(0.01, 10, 10), -math.inf, math.inf]
+        shared = GainThresholdPolicy(oracle, 0.5)
+        got = sweep(oracle, None, dataset, thresholds, config, policy_factory=shared.with_alpha, collect_logs=True)
+        want = sweep(oracle, None, dataset, thresholds, config,
+                     policy_factory=lambda g: GainThresholdPolicy(oracle, g), collect_logs=True)
+        assert [repr(p) for p in got[0]] == [repr(p) for p in want[0]]
+        for g in thresholds:
+            assert ([emission_log_to_json(log) for log in got[1][float(g)]]
+                    == [emission_log_to_json(log) for log in want[1][float(g)]]), g
+        assert shared.with_alpha(1.0)._scores is shared._scores
+        assert set(shared._scores) == set(dataset)
+        for utt, rows in shared._scores.items():
+            assert set(rows) == set(streaming._decision_times(utt, config.chunk_s)), utt.id
+            for t_s, row in rows.items():
+                exact = [oracle.true_info_gain(utt, t_s, n) for n in range(utt.n_tokens)]
+                assert np.array(row).tobytes() == np.array(exact).tobytes(), (utt.id, t_s)
 
     def test_sweep_with_a_factory_scores_nothing_up_front(self, world, monkeypatch):
         cfg, oracle, dataset = world
