@@ -1,9 +1,10 @@
 """Command-line front end: dataset generation, training, threshold sweeps, reports.
 
-All commands read one JSON config file (every section optional, defaults
-apply) plus a few overriding flags whose names mirror the config fields.
-Outputs are plot-ready CSV/JSONL and are byte-identical across reruns with
-the same inputs and seeds.
+Every setting lives in one JSON config file (every section optional,
+defaults apply).  Flags name only files and directories: ``--config`` on
+every command, ``--out`` on ``train``, ``sweep`` and ``report``, and
+``--sweeps`` on ``report``.  Outputs are plot-ready CSV/JSONL and are
+byte-identical across reruns with the same inputs and seeds.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric failure.
 """
@@ -84,7 +85,7 @@ class ExperimentConfig:
         require(self.report_bins >= 1, "report_bins", "must be >= 1")
 
 
-def load_config(path: str | None, seed: int | None = None, out_dir: str | None = None) -> ExperimentConfig:
+def load_config(path: str | None, out_dir: str | None = None) -> ExperimentConfig:
     data: dict = {}
     if path is not None:
         try:
@@ -97,9 +98,6 @@ def load_config(path: str | None, seed: int | None = None, out_dir: str | None =
     for key in data:
         require(key in known, key, "unknown config section")
     cfg = ExperimentConfig(**data)
-    if seed is not None:
-        cfg.synth = dataclasses.replace(cfg.synth, rng_seed=seed)
-        cfg.train = dataclasses.replace(cfg.train, rng_seed=seed)
     if out_dir is not None:
         cfg.paths = dataclasses.replace(cfg.paths, out_dir=out_dir)
     return cfg
@@ -129,14 +127,23 @@ def _load_dataset(cfg: ExperimentConfig):
     return dataset
 
 
+def _variant(value, source: str) -> str:
+    """``value`` if it names a PolicyVariant, else ConfigError naming ``source``; reports write it unquoted."""
+    try:
+        return setting(value, PolicyVariant, "variant").value
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _stream_inputs(cfg: ExperimentConfig):
-    """Dataset, oracle, policy and checkpoint extras.
+    """Dataset, oracle, policy and the checkpoint's variant.
 
     The checkpoint must have been trained against the oracle ``cfg.synth``
     builds: the same feature width and the same recorded synth config.
     """
     dataset, checkpoint = _load_dataset(cfg), cfg.paths.checkpoint
     params, extra = load_params(checkpoint)
+    variant = _variant(extra.get("variant"), f"checkpoint {checkpoint}")
     if params.config.input_dim != cfg.synth.feature_dim:
         raise ConfigError(f"checkpoint {checkpoint}: input_dim {params.config.input_dim} does not match "
                           f"synth.feature_dim {cfg.synth.feature_dim}")
@@ -147,22 +154,18 @@ def _stream_inputs(cfg: ExperimentConfig):
                  for key in sorted(set(trained) | set(ours)) if trained.get(key) != ours.get(key)]
     if differing:
         raise ConfigError(f"checkpoint {checkpoint}: trained on another synth config: {'; '.join(differing)}")
-    return dataset, OracleModel(cfg.synth), params, extra
+    return dataset, OracleModel(cfg.synth), params, variant
 
 
 def cmd_gen(args) -> int:
-    cfg = load_config(args.config, args.seed)
-    count = args.count if args.count is not None else cfg.count
-    save_dataset(draw_utterances(cfg.synth, count), cfg.paths.dataset)
-    print(f"wrote {count} utterances (seed {cfg.synth.rng_seed}) -> {cfg.paths.dataset}")
+    cfg = load_config(args.config)
+    save_dataset(draw_utterances(cfg.synth, cfg.count), cfg.paths.dataset)
+    print(f"wrote {cfg.count} utterances (seed {cfg.synth.rng_seed}) -> {cfg.paths.dataset}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    for name in ("variant", "steps", "objective"):
-        if getattr(args, name) is not None:
-            cfg.train = dataclasses.replace(cfg.train, **{name: getattr(args, name)})
+    cfg = load_config(args.config, args.out)
     dataset = _load_dataset(cfg)
     variant = cfg.train.variant
     pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim, hidden_dims=cfg.hidden_dims,
@@ -178,27 +181,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_alpha(position: int, item: str) -> float:
-    try:
-        return float(item)
-    except ValueError:
-        raise ConfigError(f"--alphas: item {position}, {item!r}, is not a number") from None
-
-
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    if args.alphas is not None:  # the flag's list passes the config field's rule before any file is read
-        parsed = [_parse_alpha(i, item) for i, item in enumerate(args.alphas.split(","), start=1)]
-        cfg.alphas = setting(parsed, tuple[Threshold, ...], "alphas")
+    cfg = load_config(args.config, args.out)
     alphas = cfg.alphas
-    require(len(alphas) > 0, "alphas", "must be provided in the config or via --alphas")
-    dataset, oracle, params, extra = _stream_inputs(cfg)
+    require(len(alphas) > 0, "alphas", "must be set in the config")
+    dataset, oracle, params, variant = _stream_inputs(cfg)
     points, logs_by_alpha = sweep(oracle, params, dataset, alphas, cfg.stream, collect_logs=True)
     out = _out_dir(cfg)
     write_pareto_csv(points, out / "pareto.csv")
     for i, alpha in enumerate(alphas):
         save_logs(logs_by_alpha[alpha], out / f"logs_{i:02d}.jsonl")
-    meta = {"variant": extra.get("variant", "UNKNOWN"), "alphas": list(alphas),
+    meta = {"variant": variant, "alphas": list(alphas),
             "dataset": cfg.paths.dataset, "checkpoint": cfg.paths.checkpoint}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
                                    encoding="utf-8")
@@ -210,16 +203,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
+    cfg = load_config(args.config, args.out)
     require(cfg.band is not None, "band", "required for report (set \"band\": [x, y] in the config)")
     dataset = _load_dataset(cfg)
     oracle = OracleModel(cfg.synth)
     offline = bleu([oracle.greedy_tokens(utt, utt.duration_s, np.arange(utt.n_tokens)) for utt in dataset],
                    [list(u.target_tokens) for u in dataset])  # the full-audio quality NoSE divides by
-    out = _out_dir(cfg)
 
     nose_rows, bins_rows = [], []
     mid = 0.5 * (cfg.band.x + cfg.band.y)
+    # Every sweep is read and scored before the output directory is made, so a refused report leaves none.
     for index, sweep_dir in enumerate(args.sweeps, start=1):  # a row names its sweep by position
         sweep_path = Path(sweep_dir)
         meta_path = sweep_path / "meta.json"
@@ -227,18 +220,19 @@ def cmd_report(args) -> int:
             variant = json.loads(meta_path.read_text(encoding="utf-8"))["variant"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"sweep meta {meta_path}: malformed ({exc!r})") from None
+        variant = _variant(variant, f"sweep meta {meta_path}")
         points = read_pareto_csv(sweep_path / "pareto.csv")
         nose_rows.append((variant, index, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))
         logs = load_logs(sweep_path / f"logs_{pick:02d}.jsonl")
         bins_rows.append((variant, index, latency_vs_position(logs, dataset, cfg.report_bins)))
 
-    write_nose_csv(nose_rows, out / "nose.csv")
-    write_latency_bins_csv(bins_rows, out / "latency_bins.csv")
-
     utt = dataset[0]
     n, t = np.meshgrid(np.arange(utt.n_tokens), oracle.frame_grid(utt), indexing="ij")
     gains = oracle.info_gain_many(utt, t, n)
+    out = _out_dir(cfg)
+    write_nose_csv(nose_rows, out / "nose.csv")
+    write_latency_bins_csv(bins_rows, out / "latency_bins.csv")
     write_csv(out / "info_gain_grid.csv", ("t_s", "token_index", "info_gain"),
               zip(t.ravel(), n.ravel(), gains.ravel()))
 
@@ -254,43 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Information-gain read/write policy lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out=True):
+    def add_command(name, func, text, out=True):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override synth/train rng_seed")
         if out:  # gen writes only paths.dataset
-            p.add_argument("--out", default=None, help="override output directory")
+            p.add_argument("--out", default=None, help="output directory, in place of paths.out_dir")
+        p.set_defaults(func=func)
+        return p
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
-    add_common(p_gen, out=False)
-    p_gen.add_argument("--count", type=int, default=None, help="number of utterances")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_train = sub.add_parser("train", help="train a policy variant")
-    add_common(p_train)
-    p_train.add_argument("--variant", choices=[v.value for v in PolicyVariant], default=None)
-    p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--objective", choices=["cov", "mse"], default=None)
-    p_train.set_defaults(func=cmd_train)
-
-    p_sweep = sub.add_parser("sweep", help="threshold sweep producing pareto.csv")
-    add_common(p_sweep)
-    p_sweep.add_argument("--alphas", default=None, help="comma-separated thresholds")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_report = sub.add_parser("report", help="NoSE / latency-bin / info-gain reports")
-    add_common(p_report)
+    add_command("gen", cmd_gen, "generate a synthetic dataset", out=False)
+    add_command("train", cmd_train, "train a policy variant")
+    add_command("sweep", cmd_sweep, "threshold sweep producing pareto.csv")
+    p_report = add_command("report", cmd_report, "NoSE / latency-bin / info-gain reports")
     p_report.add_argument("--sweeps", nargs="+", required=True, help="sweep output directories")
-    p_report.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["sweep"]:  # argparse takes `-inf` or `-0.5,0.5` for an option, so join it to its flag
-        for i in reversed(range(1, len(argv) - 1)):
-            # `--a` .. `--alphas`: every spelling argparse accepts, as no other sweep option starts `--a`
-            if len(argv[i]) > 2 and "--alphas".startswith(argv[i]) and not argv[i + 1].startswith("--"):
-                argv[i:i + 2] = [f"--alphas={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

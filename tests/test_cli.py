@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import enum
 import hashlib
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simulgain.cli import ExperimentConfig, main
+from simulgain.cli import ExperimentConfig, build_parser, main
 from simulgain.errors import Threshold
 from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params
@@ -42,6 +43,13 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def write_config(cfg_path, config, **settings):
+    """Update ``config`` and write it to ``cfg_path``: a dict updates its section, any other value replaces the field."""
+    for key, value in settings.items():
+        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
+    cfg_path.write_text(json.dumps(config))
+
+
 class TestGen:
     def test_writes_loadable_dataset(self, workspace):
         tmp, cfg_path, config = workspace
@@ -57,16 +65,19 @@ class TestGen:
         assert digest(tmp / "data.jsonl") == first
 
     def test_zero_count_is_config_error(self, workspace):
-        tmp, cfg_path, _ = workspace
-        assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
+        tmp, cfg_path, config = workspace
+        write_config(cfg_path, config, count=0)
+        assert main(["gen", "--config", str(cfg_path)]) == 2
 
     def test_refused_count_leaves_the_dataset_alone(self, workspace):
-        tmp, cfg_path, _ = workspace
-        assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
+        tmp, cfg_path, config = workspace
+        zero = tmp / "zero.json"
+        zero.write_text(json.dumps({**config, "count": 0}))
+        assert main(["gen", "--config", str(zero)]) == 2
         assert not (tmp / "data.jsonl").exists()
         main(["gen", "--config", str(cfg_path)])
         first = digest(tmp / "data.jsonl")
-        assert main(["gen", "--config", str(cfg_path), "--count", "0"]) == 2
+        assert main(["gen", "--config", str(zero)]) == 2
         assert digest(tmp / "data.jsonl") == first
 
     def test_out_flag_is_refused(self, workspace, capsys):
@@ -152,18 +163,21 @@ class TestTrain:
                                       forward_batch(report.params, feats, times))
 
     def test_one_step_training_emits_one_row(self, workspace):
-        tmp, cfg_path, _ = workspace
+        tmp, cfg_path, config = workspace
+        write_config(cfg_path, config, train={"steps": 1})
         main(["gen", "--config", str(cfg_path)])
-        assert main(["train", "--config", str(cfg_path), "--steps", "1"]) == 0
+        assert main(["train", "--config", str(cfg_path)]) == 0
         lines = (tmp / "out" / "training.csv").read_text().splitlines()
         assert len(lines) == 2
 
     def test_variant_recorded_in_header(self, workspace):
         tmp, cfg_path, config = workspace
+        write_config(cfg_path, config, train={"steps": 2})
         main(["gen", "--config", str(cfg_path)])
-        main(["train", "--config", str(cfg_path), "--steps", "2"])
+        main(["train", "--config", str(cfg_path)])
         reina = (tmp / "policy.ckpt").read_bytes().split(b"\n", 1)[0]
-        main(["train", "--config", str(cfg_path), "--steps", "2", "--variant", "REINA_TAN"])
+        write_config(cfg_path, config, train={"variant": "REINA_TAN"})
+        main(["train", "--config", str(cfg_path)])
         tan = (tmp / "policy.ckpt").read_bytes().split(b"\n", 1)[0]
         assert reina != tan
         assert b"REINA_TAN" in tan
@@ -209,7 +223,8 @@ class TestSweepAndReport:
     def test_one_alpha_sweep_keeps_the_logs_of_the_library_sweep(self, pipeline, alpha):
         # streaming the dataset once at one threshold is a sweep of one alpha
         tmp, cfg_path, config = pipeline
-        assert main(["sweep", "--config", str(cfg_path), f"--alphas={alpha}", "--out", str(tmp / "one")]) == 0
+        write_config(cfg_path, config, alphas=[float(alpha)])
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "one")]) == 0
         params, _ = load_params(config["paths"]["checkpoint"])
         oracle = OracleModel(SynthConfig(**config["synth"]))
         _, logs = sweep(oracle, params, load_dataset(config["paths"]["dataset"]), [float(alpha)],
@@ -230,8 +245,9 @@ class TestSweepAndReport:
 
     def test_report_keeps_the_bins_of_every_sweep(self, pipeline):
         # two sweeps of one variant: each sweep's bins, in --sweeps order
-        tmp, cfg_path, _ = pipeline
-        assert main(["sweep", "--config", str(cfg_path), "--alphas", "0.5,-0.5", "--out", str(tmp / "sweep2")]) == 0
+        tmp, cfg_path, config = pipeline
+        write_config(cfg_path, config, alphas=[0.5, -0.5])
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep2")]) == 0
         rows = {}
         for name, sweeps in (("a", ["sweep"]), ("b", ["sweep2"]), ("ab", ["sweep", "sweep2"])):
             assert main(["report", "--config", str(cfg_path), "--sweeps", *(str(tmp / s) for s in sweeps),
@@ -283,50 +299,41 @@ class TestSweepAndReport:
                      "--out", str(tmp / "r2")]) == 4
 
 
-@pytest.mark.parametrize("alphas, item", [("0.1,abc", "item 2, 'abc',"), ("", "item 1, '',"),
-                                          ("0.1,,0.3", "item 2, '',")])
-def test_bad_alphas_flag_is_config_error(workspace, capsys, alphas, item):
+def test_flags_name_only_files_and_directories():
+    # every setting lives in the config file; a flag only says where to read or write
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+               for name, sub in commands.items()}
+    assert options == {"gen": {"--config"}, "train": {"--config", "--out"},
+                       "sweep": {"--config", "--out"}, "report": {"--config", "--out", "--sweeps"}}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, "--seed", "3") for command in ("gen", "train", "sweep", "report")],
+    ("gen", "--count", "4"), ("train", "--variant", "REINA_TAN"), ("train", "--steps", "2"),
+    ("train", "--objective", "mse"), ("sweep", "--alphas", "0.5"),
+])
+def test_removed_setting_flag_is_refused(workspace, capsys, command, flag, value):
+    # each of these is set in the config file only (--seed as synth.rng_seed and train.rng_seed)
     tmp, cfg_path, _ = workspace
-    main(["gen", "--config", str(cfg_path)])
-    main(["train", "--config", str(cfg_path), "--steps", "2"])
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(cfg_path), "--alphas", alphas, "--out", str(tmp / "sweep")]) == 2
-    assert f"config error: --alphas: {item} is not a number" in capsys.readouterr().err
-    assert not (tmp / "sweep").exists()
-
-
-@pytest.mark.parametrize("alphas", ["nan", "0.5,nan", "-inf,nan"])
-def test_alphas_flag_is_checked_before_any_file_is_read(workspace, capsys, alphas):
-    # no dataset exists: the flag's list must fail the alphas rule, not the read
-    tmp, cfg_path, _ = workspace
-    assert main(["sweep", "--config", str(cfg_path), "--alphas", alphas, "--out", str(tmp / "sweep")]) == 2
-    assert "config error: alphas: must be a number and not NaN" in capsys.readouterr().err
-    assert not (tmp / "sweep").exists()
-
-
-@pytest.mark.parametrize("flag, alphas", [("--alphas", "-0.5,0.5"), ("--alphas", "-inf"),
-                                         ("--alphas", "-inf,-0.5,inf"), ("--alpha", "-inf"), ("--a", "-0.5,0.5")])
-def test_alphas_flag_may_start_with_a_minus(workspace, flag, alphas):
-    # every spelling argparse takes for --alphas, abbreviations included
-    tmp, cfg_path, _ = workspace
-    main(["gen", "--config", str(cfg_path)])
-    main(["train", "--config", str(cfg_path), "--steps", "2"])
-    assert main(["sweep", "--config", str(cfg_path), flag, alphas, "--out", str(tmp / "spaced")]) == 0
-    assert main(["sweep", "--config", str(cfg_path), f"--alphas={alphas}", "--out", str(tmp / "joined")]) == 0
-    spaced = {p.name: p.read_bytes() for p in (tmp / "spaced").iterdir()}
-    assert spaced == {p.name: p.read_bytes() for p in (tmp / "joined").iterdir()}
-    assert len(spaced) == 2 + len(alphas.split(","))
+    argv = [command, "--config", str(cfg_path), flag, value]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + (["--sweeps", str(tmp / "sweep")] if command == "report" else []))
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp / "data.jsonl").exists() and not (tmp / "out").exists()
 
 
 NAN = float("nan")
 
 
 @pytest.mark.parametrize("command, setting, field", [
-    ("sweep", ["--alphas", "nan"], "alphas"),
-    ("sweep", ["--alphas", "0.0,nan"], "alphas"),
+    ("sweep", {"alphas": [NAN, 0.0]}, "alphas"),
+    ("sweep", {"alphas": [math.inf, NAN]}, "alphas"),
     ("sweep", {"alphas": [0.0, NAN]}, "alphas"),
     ("sweep", {"alphas": [NAN]}, "alphas"),
-    ("sweep", ["--alphas=-inf,nan"], "alphas"),
+    ("sweep", {"alphas": [-math.inf, NAN]}, "alphas"),
     ("sweep", {"stream": {"chunk_ms": NAN}}, "chunk_ms"),
     *[("train", {"loss": {name: NAN}}, name) for name in ("lambda_mono", "lambda_l2", "lambda_align", "tau")],
     ("train", {"loss": {"bn_epsilon": NAN}}, "loss.bn_epsilon"),  # no longer a field
@@ -338,18 +345,13 @@ NAN = float("nan")
 ])
 def test_nan_setting_is_config_error(workspace, capsys, command, setting, field):
     tmp, cfg_path, config = workspace
+    write_config(cfg_path, config, train={"steps": 2})
     main(["gen", "--config", str(cfg_path)])
     if command != "train":
-        main(["train", "--config", str(cfg_path), "--steps", "2"])
-    argv = [command, "--config", str(cfg_path), "--out", str(tmp / "nan")]
-    if isinstance(setting, list):
-        argv += setting
-    else:
-        for key, value in setting.items():
-            config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
-        cfg_path.write_text(json.dumps(config))
+        main(["train", "--config", str(cfg_path)])
+    write_config(cfg_path, config, **setting)
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp / "nan")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
     assert not (tmp / "nan").exists()
 
@@ -373,9 +375,7 @@ def test_non_integer_setting_is_config_error(workspace, capsys, command, setting
         main(["gen", "--config", str(cfg_path)])
     dataset = tmp / "data.jsonl"
     before = dataset.read_bytes() if dataset.exists() else None
-    for key, value in setting.items():
-        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
-    cfg_path.write_text(json.dumps(config))
+    write_config(cfg_path, config, **setting)
     capsys.readouterr()
     argv = [command, "--config", str(cfg_path)] + ([] if command == "gen" else ["--out", str(tmp / "int")])
     assert main(argv + (["--sweeps", str(tmp / "sweep")] if command == "report" else [])) == 2
@@ -444,9 +444,7 @@ def test_infinite_thresholds_are_accepted(workspace):
 def test_number_setting_that_is_no_number_is_config_error(workspace, capsys, setting, message):
     # numbers are JSON numbers: a string, a bool, null or NaN is refused by name, never coerced
     tmp, cfg_path, config = workspace
-    for key, value in setting.items():
-        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
-    cfg_path.write_text(json.dumps(config))
+    write_config(cfg_path, config, **setting)
     assert main(["gen", "--config", str(cfg_path)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp / "data.jsonl").exists()
@@ -502,9 +500,7 @@ def test_setting_of_a_refused_json_type_is_config_error(workspace, capsys, secti
                          ids=["float", "threshold", "tuple-item"])
 def test_integer_too_large_for_a_float_is_config_error(workspace, capsys, setting, field):
     tmp, cfg_path, config = workspace
-    for key, value in setting.items():
-        config[key] = {**config.get(key, {}), **value} if isinstance(value, dict) else value
-    cfg_path.write_text(json.dumps(config))
+    write_config(cfg_path, config, **setting)
     assert main(["gen", "--config", str(cfg_path)]) == 2
     assert f"config error: {field}: must fit in a float" in capsys.readouterr().err
     assert not (tmp / "data.jsonl").exists()
@@ -515,10 +511,9 @@ def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
     # batch could be accepted by an overcommitting allocator and then exhaust the machine
     tmp, cfg_path, config = workspace
     main(["gen", "--config", str(cfg_path)])
-    config["train"]["batch_size"] = 2**62
-    cfg_path.write_text(json.dumps(config))
+    write_config(cfg_path, config, train={"batch_size": 2**62, "steps": 2})
     capsys.readouterr()
-    assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+    assert main(["train", "--config", str(cfg_path)]) == 2
     assert f"config error: batch_size: {2**62} rows do not fit in memory" in capsys.readouterr().err
     assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
 
@@ -526,10 +521,9 @@ def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):
     # float settings are stored as floats, so new headers record 50.0 where older ones recorded 50
     tmp, cfg_path, config = workspace
-    config["synth"]["frame_ms"] = 50
-    cfg_path.write_text(json.dumps(config))
+    write_config(cfg_path, config, synth={"frame_ms": 50}, train={"steps": 2})
     main(["gen", "--config", str(cfg_path)])
-    assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 0
+    assert main(["train", "--config", str(cfg_path)]) == 0
     ckpt = tmp / "policy.ckpt"
     header, arrays = ckpt.read_bytes().split(b"\n", 1)
     record = json.loads(header)
@@ -561,8 +555,9 @@ class TestBadInputFiles:
     @pytest.fixture
     def trained(self, workspace, capsys):
         tmp, cfg_path, config = workspace
+        write_config(cfg_path, config, train={"steps": 2})
         main(["gen", "--config", str(cfg_path)])
-        main(["train", "--config", str(cfg_path), "--steps", "2"])
+        main(["train", "--config", str(cfg_path)])
         capsys.readouterr()
         return tmp, cfg_path, config
 
@@ -589,7 +584,7 @@ class TestBadInputFiles:
         lines = data.read_text().splitlines()
         lines[2] = lines[2][:-7]
         data.write_text("\n".join(lines) + "\n")
-        assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+        assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert f"dataset {data}, line 3:" in err
 
@@ -597,7 +592,7 @@ class TestBadInputFiles:
         tmp, cfg_path, config = trained
         data = tmp / "data.jsonl"
         data.write_bytes(data.read_bytes() + b"\xff")
-        assert main(["train", "--config", str(cfg_path), "--steps", "2"]) == 2
+        assert main(["train", "--config", str(cfg_path)]) == 2
         assert f"config error: dataset {data}: not UTF-8 text" in capsys.readouterr().err
 
     def test_checkpoint_for_another_feature_dim(self, trained, capsys, tmp_path):
@@ -610,9 +605,12 @@ class TestBadInputFiles:
         assert str(tmp / "policy.ckpt") in err and "input_dim 16" in err and "feature_dim 8" in err
 
 
-    def test_checkpoint_for_another_synth_config(self, trained, capsys):
+    def test_checkpoint_for_another_synth_config(self, trained, capsys, tmp_path):
         tmp, cfg_path, config = trained
-        assert main(["sweep", "--out", str(tmp / "sweep99"), "--config", str(cfg_path), "--seed", "99"]) == 2
+        config["synth"]["rng_seed"] = 99
+        other = tmp_path / "seed99.json"
+        other.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(other), "--out", str(tmp / "sweep99")]) == 2
         err = capsys.readouterr().err
         assert str(tmp / "policy.ckpt") in err and "rng_seed 5 in the checkpoint, 99 in the config" in err
 
@@ -672,7 +670,7 @@ class TestBadInputFiles:
         records = [json.loads(line) for line in data.read_text().splitlines()]
         records[1]["tokens"][-1] = token  # the synth config's vocab_size is the default 50
         data.write_text("".join(json.dumps(r) + "\n" for r in records))
-        argv = {"train": ["--steps", "2"], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
+        argv = {"train": [], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
                 "report": ["--sweeps", str(sweep_dir), "--out", str(sweep_dir.parent / "report")]}[command]
         assert main([command, "--config", str(cfg_path), *argv]) == 2
         err = capsys.readouterr().err
@@ -686,7 +684,7 @@ class TestBadInputFiles:
         cfg_path, sweep_dir = swept
         data = sweep_dir.parent / "data.jsonl"
         data.write_text(text)
-        argv = {"train": ["--steps", "2"], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
+        argv = {"train": [], "sweep": ["--out", str(sweep_dir.parent / "sweep2")],
                 "report": ["--sweeps", str(sweep_dir), "--out", str(sweep_dir.parent / "report")]}[command]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -710,6 +708,43 @@ class TestBadInputFiles:
         (sweep_dir / "meta.json").write_text("{")
         assert self.report(cfg_path, sweep_dir) == 2
         assert f"sweep meta {sweep_dir / 'meta.json'}: malformed" in capsys.readouterr().err
+        assert not (sweep_dir.parent / "report").exists()
+
+    def test_missing_sweep_is_io_error(self, swept, capsys):
+        cfg_path, sweep_dir = swept
+        assert self.report(cfg_path, sweep_dir.parent / "no_sweep") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(sweep_dir.parent / "no_sweep" / "meta.json") in err
+        assert not (sweep_dir.parent / "report").exists()
+
+    # reports write the variant unquoted into CSV rows, so only a PolicyVariant name is taken
+    UNKNOWN_VARIANTS = pytest.mark.parametrize("variant", ["REINA,evil\nrow", "reina", 5, None],
+                                               ids=["csv-row", "lowercase", "number", "none"])
+    VARIANT_REFUSAL = "variant: must be one of REINA, REINA_TAN, REINA_SAN, REINA_ALL"
+
+    @UNKNOWN_VARIANTS
+    def test_checkpoint_of_an_unknown_variant(self, trained, capsys, variant):
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        header, arrays = ckpt.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        if variant is None:  # a header that records no variant
+            del record["extra"]["variant"]
+        else:
+            record["extra"]["variant"] = variant
+        ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        assert f"config error: checkpoint {ckpt}: {self.VARIANT_REFUSAL}" in capsys.readouterr().err
+        assert not (tmp / "sweep").exists()
+
+    @UNKNOWN_VARIANTS
+    def test_sweep_meta_of_an_unknown_variant(self, swept, capsys, variant):
+        cfg_path, sweep_dir = swept
+        meta_path = sweep_dir / "meta.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), "variant": variant}))
+        assert self.report(cfg_path, sweep_dir) == 2
+        assert f"config error: sweep meta {meta_path}: {self.VARIANT_REFUSAL}" in capsys.readouterr().err
+        assert not (sweep_dir.parent / "report").exists()
 
 
 def test_end_to_end_pipeline_determinism(tmp_path):
