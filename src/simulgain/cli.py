@@ -39,8 +39,7 @@ from .synth import OracleModel, SynthConfig, draw_utterances, load_dataset, save
 from .synth import generate_dataset  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .training import TrainConfig, train, write_training_csv
 
-
-_POLICY_DEFAULTS = {f.name: f.default for f in dataclasses.fields(PolicyConfig)}
+_LATENCY_BINS = 10  # position bins of latency_bins.csv
 
 
 @dataclass(frozen=True)
@@ -68,12 +67,9 @@ class ExperimentConfig:
     loss: LossWeights = field(default_factory=LossWeights)
     stream: StreamConfig = field(default_factory=StreamConfig)
     paths: Paths = field(default_factory=Paths)
-    hidden_dims: tuple[int, ...] = _POLICY_DEFAULTS["hidden_dims"]
-    time_base: float = _POLICY_DEFAULTS["time_base"]
     count: int = 100
     alphas: tuple[Threshold, ...] = ()
     band: LatencyBand | None = None
-    report_bins: int = 10
 
     def __post_init__(self):
         check_settings(self)
@@ -82,7 +78,6 @@ class ExperimentConfig:
                 self.band = LatencyBand(*setting(self.band, tuple[float, float], "band"))
             except MetricError as exc:
                 raise ConfigError(f"band: {exc}") from None
-        require(self.report_bins >= 1, "report_bins", "must be >= 1")
 
 
 def load_config(path: str | None, out_dir: str | None = None) -> ExperimentConfig:
@@ -168,12 +163,11 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.out)
     dataset = _load_dataset(cfg)
     variant = cfg.train.variant
-    pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim, hidden_dims=cfg.hidden_dims,
-                                     time_base=cfg.time_base)
+    pconf = PolicyConfig.for_variant(variant, cfg.synth.feature_dim)
     report = train(OracleModel(cfg.synth), dataset, pconf, cfg.train, cfg.loss)
+    out = _out_dir(cfg)  # before the checkpoint, so a refused --out leaves the old one in place
     extra = {"variant": variant.value, "objective": cfg.train.objective, "synth": _synth_record(cfg.synth)}
     save_params(report.params, cfg.paths.checkpoint, extra=extra)
-    out = _out_dir(cfg)
     write_training_csv(report, out / "training.csv")
     last = report.records[-1]
     print(f"trained {variant.value} for {cfg.train.steps} steps: "
@@ -225,7 +219,7 @@ def cmd_report(args) -> int:
         nose_rows.append((variant, index, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))
         logs = load_logs(sweep_path / f"logs_{pick:02d}.jsonl")
-        bins_rows.append((variant, index, latency_vs_position(logs, dataset, cfg.report_bins)))
+        bins_rows.append((variant, index, latency_vs_position(logs, dataset, _LATENCY_BINS)))
 
     utt = dataset[0]
     n, t = np.meshgrid(np.arange(utt.n_tokens), oracle.frame_grid(utt), indexing="ij")

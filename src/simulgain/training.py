@@ -38,6 +38,12 @@ _INIT_STREAM = 0x51
 _SAMPLE_STREAM = 0x52
 _CHECK_STREAM = 0x53
 _FD_STEP = 1e-5  # central-difference step of grad_check
+# The optimizer recipe: REINA and its variants differ in inputs and losses, never in these.
+_LR = 1e-3  # reached after a linear warmup over the first _WARMUP steps
+_WARMUP = 100
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
+_WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,6 @@ class TrainConfig:
     variant: PolicyVariant = PolicyVariant.REINA
     batch_size: int = 256
     steps: int = 5000
-    lr: float = 1e-3
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    weight_decay: float = 1e-4
-    warmup_steps: int = 100
     rng_seed: int = 0
     objective: str = "cov"
     label_noise_std: float = 0.0
@@ -58,12 +59,7 @@ class TrainConfig:
         check_settings(self)
         require(self.batch_size >= 2, "batch_size", "must be >= 2 (label normalization needs a batch)")
         require(self.steps >= 1, "steps", "must be >= 1")
-        require(self.lr >= 0, "lr", "must be >= 0")
-        require(all(0 <= b < 1 for b in self.adam_betas), "adam_betas", "each must lie in [0, 1)")
-        require(self.adam_eps > 0, "adam_eps", "must be > 0")
-        require(self.weight_decay >= 0, "weight_decay", "must be >= 0")
         require(self.objective in ("cov", "mse"), "objective", f"unknown value {self.objective!r}")
-        require(self.warmup_steps >= 0, "warmup_steps", "must be >= 0")
         require(self.rng_seed >= 0, "rng_seed", "must be >= 0")
         require(self.label_noise_std >= 0, "label_noise_std", "must be >= 0")
 
@@ -153,13 +149,12 @@ class AdamW:
     Each step runs the per-element update
     ``theta -= lr * ((m / c1) / (sqrt(v / c2) + eps) + weight_decay * theta)``
     as a few whole-vector operations in that floating-point order, with
-    bias corrections c1 = 1 - beta1**t and c2 = 1 - beta2**t.
+    bias corrections c1 = 1 - beta1**t and c2 = 1 - beta2**t.  The betas, eps
+    and weight decay are the module's recipe constants; ``step`` takes the
+    learning rate, which ``train`` warms up.
     """
 
-    def __init__(self, size: int, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+    def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -168,20 +163,20 @@ class AdamW:
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         m, v, tmp, update = self.m, self.v, self._tmp, self._update
-        m *= self.beta1
-        m += np.multiply(grad, 1.0 - self.beta1, out=tmp)
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=tmp)
+        m *= _BETA1
+        m += np.multiply(grad, 1.0 - _BETA1, out=tmp)
+        v *= _BETA2
+        np.multiply(grad, 1.0 - _BETA2, out=tmp)
         v += np.multiply(tmp, grad, out=tmp)
         np.divide(v, c2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += _EPS
         np.divide(m, c1, out=update)
         update /= tmp
-        update += np.multiply(theta, self.weight_decay, out=tmp)
+        update += np.multiply(theta, _WEIGHT_DECAY, out=tmp)
         update *= lr
         theta -= update
 
@@ -282,8 +277,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
     except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the step workspaces
         raise ConfigError(f"batch_size: {train_config.batch_size} rows do not fit in memory ({exc})") from None
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
-    optimizer = AdamW(head.theta.shape[0], betas=train_config.adam_betas, eps=train_config.adam_eps,
-                      weight_decay=train_config.weight_decay)
+    optimizer = AdamW(head.theta.shape[0])
     records: list[StepRecord] = []
 
     for step in range(train_config.steps):
@@ -296,10 +290,7 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
         # vector across threads and round differently with their number
         grad_norm = float(np.sqrt(np.square(head.grad).sum()))
 
-        lr = train_config.lr
-        if train_config.warmup_steps:
-            lr *= min(1.0, (step + 1) / train_config.warmup_steps)
-        optimizer.step(head.theta, head.grad, lr)
+        optimizer.step(head.theta, head.grad, _LR * min(1.0, (step + 1) / _WARMUP))
         records.append(StepRecord(step=step, loss_total=breakdown["total"], loss_cov=breakdown["cov"],
                                   loss_mono=breakdown["mono"], loss_l2=breakdown["l2"],
                                   loss_align=breakdown["align"], grad_norm=grad_norm))

@@ -46,21 +46,25 @@ def schedule_laal(dataset) -> float:
     return float(np.mean(vals))
 
 
-def mean_laal_at(oracle, params, dataset, alpha) -> float:
-    policy = ThresholdPolicy(oracle, params, alpha)
+def mean_laal_at(oracle, policy, dataset) -> float:
     logs = [simulate(oracle, u, policy, CHUNK) for u in dataset]
     return float(np.mean([laal(log, u.n_tokens) for log, u in zip(logs, dataset)]))
 
 
 def latency_targeted_alphas(oracle, params, dataset, targets) -> list[float]:
-    """Bisect thresholds so operating points span the requested mean latencies."""
+    """Bisect thresholds so operating points span the requested mean latencies.
+
+    Every step decides through one policy's score table (``with_alpha``), so
+    each decision row is scored once per head, not once per step.
+    """
     scores, _ = sg.score_info_gain_grid(oracle, params, dataset)
+    policy = ThresholdPolicy(oracle, params, 0.0)
     alphas = []
     for target in targets:
         lo, hi = float(scores.min()) - 1.0, float(scores.max()) + 1.0
         for _ in range(14):
             mid = 0.5 * (lo + hi)
-            if mean_laal_at(oracle, params, dataset, mid) > target:
+            if mean_laal_at(oracle, policy.with_alpha(mid), dataset) > target:
                 lo = mid
             else:
                 hi = mid

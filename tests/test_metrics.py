@@ -266,7 +266,7 @@ class TestLatencyVsPosition:
 
     @pytest.mark.parametrize("bins", [2**62, 2**63 - 1])
     def test_huge_bin_count_visits_only_occupied_bins(self, bins):
-        # one bin per emitted token at most, however many bins a 64-bit report_bins asks for
+        # one bin per emitted token at most, however many bins a caller asks for
         logs = [make_log([1.0, 2.0, 3.0], 4.0), make_log([1.5, 2.5, 3.5], 4.0)]
         stats = latency_vs_position(logs, self.fixture_dataset(), bins=bins)
         assert len(stats) <= 6
