@@ -133,12 +133,17 @@ def _variant(value, source: str) -> str:
 def _stream_inputs(cfg: ExperimentConfig):
     """Dataset, oracle, policy and the checkpoint's variant.
 
-    The checkpoint must have been trained against the oracle ``cfg.synth``
-    builds: the same feature width and the same recorded synth config.
+    The checkpoint's head must be the shape its recorded variant trains, and
+    it must have been trained against the oracle ``cfg.synth`` builds: the
+    same feature width and the same recorded synth config.
     """
     dataset, checkpoint = _load_dataset(cfg), cfg.paths.checkpoint
     params, extra = load_params(checkpoint)
     variant = _variant(extra.get("variant"), f"checkpoint {checkpoint}")
+    try:
+        PolicyVariant(variant).check(params.config)
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {checkpoint}: {exc}") from None
     if params.config.input_dim != cfg.synth.feature_dim:
         raise ConfigError(f"checkpoint {checkpoint}: input_dim {params.config.input_dim} does not match "
                           f"synth.feature_dim {cfg.synth.feature_dim}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -70,26 +70,50 @@ class PolicyConfig:
         return cls(input_dim=input_dim, use_time_embedding=variant.uses_time_embedding, **fields)
 
 
+def _layout(config: PolicyConfig) -> list[tuple[int, ...]]:
+    """Shapes of the arrays in a head's vector, in order: each layer's weights, then each layer's biases."""
+    dims = config.layer_dims
+    return [*zip(dims[:-1], dims[1:]), *((b,) for b in dims[1:])]
+
+
 @dataclass
 class PolicyParams:
+    """A head's parameters, or a gradient of them: one flat float64 vector ``theta``.
+
+    ``theta`` holds each layer's weights, then each layer's biases.
+    ``weights`` and ``biases`` are reshaped views of it, so writing to a view
+    writes to ``theta``, and one vector operation updates every layer.
+    """
+
     config: PolicyConfig
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    theta: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = _layout(self.config)
+        size = sum(math.prod(shape) for shape in shapes)
+        if self.theta.shape != (size,):
+            raise ShapeError(f"theta of shape {self.theta.shape} does not hold the config's {size} parameters")
+        arrays, offset = [], 0
+        for shape in shapes:
+            arrays.append(self.theta[offset:offset + math.prod(shape)].reshape(shape))
+            offset += math.prod(shape)
+        n_layers = len(shapes) // 2
+        self.weights, self.biases = arrays[:n_layers], arrays[n_layers:]
 
     def copy(self) -> "PolicyParams":
-        return PolicyParams(self.config, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return PolicyParams(self.config, self.theta.copy())
 
 
 def init_params(config: PolicyConfig, seed=0) -> PolicyParams:
-    """Seeded init: weights uniform in +-1/sqrt(fan_in), biases zero."""
+    """Seeded init: weights uniform in +-1/sqrt(fan_in), drawn layer by layer, biases zero."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    dims = config.layer_dims
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return PolicyParams(config=config, weights=weights, biases=biases)
+    params = PolicyParams(config, np.zeros(sum(math.prod(shape) for shape in _layout(config))))
+    for w in params.weights:
+        bound = 1.0 / math.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def time_embedding(t_audio, d: int, base: float = 100.0) -> np.ndarray:
@@ -165,86 +189,56 @@ def forward(params: PolicyParams, features, t_audio: float) -> float:
     return float(scores[0])
 
 
-def backward_from_cache(params: PolicyParams, activations, upstream,
-                        out=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Exact gradients of sum(upstream * scores) w.r.t. weights and biases.
+def backward_from_cache(params: PolicyParams, activations, upstream, out: PolicyParams | None = None) -> PolicyParams:
+    """Exact gradient of sum(upstream * scores) w.r.t. the parameters, laid out as they are.
 
-    ``out`` is an optional (weights, biases) pair of arrays shaped like the
-    parameters, e.g. views of one flat vector; the gradients are written
-    into them and returned.
+    The gradient is written into ``out`` when one is given, and returned.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != (activations[0].shape[0],):
         raise ShapeError(f"upstream shape {upstream.shape} does not match batch size {activations[0].shape[0]}")
-    if out is None:
-        out = [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
-    grads_w, grads_b = out
+    grad = PolicyParams(params.config, np.empty_like(params.theta)) if out is None else out
     delta = upstream[:, None]
     for i in reversed(range(len(params.weights))):
-        np.matmul(activations[i].T, delta, out=grads_w[i])
-        np.sum(delta, axis=0, out=grads_b[i])
+        np.matmul(activations[i].T, delta, out=grad.weights[i])
+        np.sum(delta, axis=0, out=grad.biases[i])
         if i:
             delta = delta @ params.weights[i].T
             delta *= 1.0 - np.square(activations[i])
-    return grads_w, grads_b
-
-
-# -- flat parameter views (optimizer-agnostic helpers) -----------------------
-
-def params_to_vector(params: PolicyParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in (*params.weights, *params.biases)])
-
-
-def vector_views(config: PolicyConfig, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Weights and biases as reshaped views of a flat float64 vector in :func:`params_to_vector` order.
-
-    Writing to a view writes to ``vector``, so one vector operation updates
-    every layer.
-    """
-    dims = config.layer_dims
-    shapes = [(a, b) for a, b in zip(dims[:-1], dims[1:])] + [(b,) for b in dims[1:]]
-    arrays, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        arrays.append(vector[offset:offset + size].reshape(shape))
-        offset += size
-    if offset != vector.shape[0]:
-        raise ShapeError(f"vector of length {vector.shape[0]} does not match {offset} parameters")
-    n_layers = len(dims) - 1
-    return arrays[:n_layers], arrays[n_layers:]
-
-
-def vector_to_params(config: PolicyConfig, vector: np.ndarray) -> PolicyParams:
-    weights, biases = vector_views(config, np.array(vector, dtype=np.float64))
-    return PolicyParams(config=config, weights=weights, biases=biases)
+    return grad
 
 
 # -- checkpoint format --------------------------------------------------------
 # Single file: one JSON header line (config + caller extras + array shapes),
-# then the raw little-endian float64 arrays in declared order.  Re-saving the
-# same parameters yields byte-identical files.
+# then ``theta`` as raw little-endian float64.  Re-saving the same parameters
+# yields byte-identical files.
 
 def save_params(params: PolicyParams, path, extra: dict | None = None) -> None:
-    arrays = [*params.weights, *params.biases]
     header = {
         "config": asdict(params.config),
         "extra": extra or {},
-        "shapes": [list(a.shape) for a in arrays],
+        "shapes": [list(shape) for shape in _layout(params.config)],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
-    blob += b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    Path(path).write_bytes(blob)
+    Path(path).write_bytes(blob + params.theta.astype("<f8").tobytes())
 
 
 def load_params(path) -> tuple[PolicyParams, dict]:
-    """Read a checkpoint; a malformed or truncated file raises ConfigError naming it."""
+    """Read a checkpoint; a malformed, truncated or non-finite one raises ConfigError naming it."""
     blob = Path(path).read_bytes()
     try:
         newline = blob.index(b"\n")
         header = json.loads(blob[:newline].decode("utf-8"))
-        vector = np.frombuffer(blob, dtype="<f8", offset=newline + 1)
         if not isinstance(header["extra"], dict):
             raise TypeError("extra: must be a JSON object")
-        return vector_to_params(PolicyConfig(**header["config"]), vector), header["extra"]
+        config = PolicyConfig(**header["config"])
+        shapes = [list(shape) for shape in _layout(config)]
+        if header["shapes"] != shapes:
+            raise ValueError(f"shapes {header['shapes']!r} are not the config's {shapes!r}")
+        params = PolicyParams(config, np.frombuffer(blob, dtype="<f8", offset=newline + 1).astype(np.float64))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"checkpoint {path}: malformed or truncated ({exc!r})") from None
+    bad = int(np.count_nonzero(~np.isfinite(params.theta)))
+    if bad:
+        raise ConfigError(f"checkpoint {path}: {bad} of {params.theta.shape[0]} parameters are NaN or infinite")
+    return params, header["extra"]

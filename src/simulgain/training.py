@@ -28,9 +28,7 @@ from .policy import (
     forward_batch,
     forward_with_cache,
     init_params,
-    params_to_vector,
     time_embedding,
-    vector_views,
 )
 from .synth import DatasetIndex, OracleModel
 
@@ -186,9 +184,10 @@ class _FlatHead:
 
     The step picks its terms: the monotonicity view when ``lambda_mono > 0``,
     and, for the variants that train it, the alignment term against targets
-    built from each row's boundary.  ``params`` views ``theta`` and ``grads``
-    views ``grad``, each one flat vector, so the optimizer updates every layer
-    at once and both backward passes of a step land in one buffer.  Both
+    built from each row's boundary.  The step trains a copy of the head it is
+    built with, ``params``, whose vector is ``theta``; its gradient ``grad`` is
+    laid out as ``theta`` is, so the optimizer updates every layer at once and
+    both backward passes of a step land in one buffer.  Both
     token views' activations live in workspaces allocated once for ``rows``,
     the row count of every step.
 
@@ -202,12 +201,11 @@ class _FlatHead:
         config = params.config
         variant.check(config)
         self.variant, self.weights, self.objective = variant, weights, objective
-        self.theta = params_to_vector(params)
-        self.params = PolicyParams(config, *vector_views(config, self.theta))
-        self.grad = np.zeros_like(self.theta)
-        self.grads = vector_views(config, self.grad)
-        self._next_grad = np.zeros_like(self.theta)
-        self._next_grads = vector_views(config, self._next_grad)
+        self.params = params.copy()
+        self.theta = self.params.theta
+        self._grads = PolicyParams(config, np.zeros_like(self.theta))  # the pending-token view's
+        self._next_grads = PolicyParams(config, np.zeros_like(self.theta))  # the adjacent-token view's
+        self.grad = self._grads.theta
         self._table_times = self._table = None
         if config.use_time_embedding:
             self._table_times = np.unique(times)
@@ -251,19 +249,15 @@ class _FlatHead:
         for term in ("cov", "mono", "l2", "align", "total"):
             if not math.isfinite(breakdown[term]):
                 raise NumericError(f"non-finite {term} loss")
-        backward_from_cache(params, cache, dq, out=self.grads)
+        backward_from_cache(params, cache, dq, out=self._grads)
         if dq_next is not None:
-            backward_from_cache(params, cache_next, dq_next, out=self._next_grads)
-            self.grad += self._next_grad
+            self.grad += backward_from_cache(params, cache_next, dq_next, out=self._next_grads).theta
         return breakdown
 
 
 def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
           train_config: TrainConfig, loss_weights: LossWeights) -> TrainReport:
-    """Optimize the policy head; deterministic given the config seeds.
-
-    The returned parameters are views of one flat vector.
-    """
+    """Optimize the policy head; deterministic given the config seeds."""
     index = DatasetIndex(dataset, oracle)
     if train_config.variant.uses_alignment_loss and not index.aligned.any():
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")

@@ -13,7 +13,7 @@ import pytest
 from simulgain.cli import ExperimentConfig, build_parser, main
 from simulgain.errors import Threshold
 from simulgain.losses import LossWeights
-from simulgain.policy import forward_batch, load_params
+from simulgain.policy import forward_batch, load_params, save_params
 from simulgain.streaming import StreamConfig, save_logs, sweep
 from simulgain.synth import OracleModel, SynthConfig, load_dataset
 from simulgain.training import TrainConfig
@@ -673,6 +673,50 @@ class TestBadInputFiles:
         ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
         assert f"checkpoint {ckpt}: records no synth config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_checkpoint_with_non_finite_parameters(self, trained, capsys, value):
+        # a NaN head scores NaN, which never exceeds a threshold: every alpha would write at once
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        params, extra = load_params(ckpt)
+        params.weights[-1][...] = value
+        save_params(params, ckpt, extra)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: checkpoint {ckpt}: " in err and "NaN or infinite" in err
+        assert not (tmp / "sweep").exists()
+
+    @pytest.mark.parametrize("shapes", [[[1]], [[16, 64], [64, 64], [64, 1]], None],
+                             ids=["one", "weights-only", "none"])
+    def test_checkpoint_whose_shapes_are_not_its_configs(self, trained, capsys, shapes):
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        header, arrays = ckpt.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        if shapes is None:  # a header that records no shapes
+            del record["shapes"]
+        else:
+            record["shapes"] = shapes
+        ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: checkpoint {ckpt}: malformed or truncated" in err and "shapes" in err
+        assert not (tmp / "sweep").exists()
+
+    @pytest.mark.parametrize("variant", ["REINA_TAN", "REINA_ALL"])
+    def test_checkpoint_whose_variant_is_not_its_head(self, trained, capsys, variant):
+        # the fixture trains a clockless REINA head; a clocked label would mislabel every report row
+        tmp, cfg_path, config = trained
+        ckpt = tmp / "policy.ckpt"
+        header, arrays = ckpt.read_bytes().split(b"\n", 1)
+        record = json.loads(header)
+        record["extra"]["variant"] = variant
+        ckpt.write_bytes(json.dumps(record).encode() + b"\n" + arrays)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+        assert (f"config error: checkpoint {ckpt}: variant {variant} requires use_time_embedding=True"
+                in capsys.readouterr().err)
+        assert not (tmp / "sweep").exists()
 
     @pytest.fixture
     def swept(self, trained, capsys):

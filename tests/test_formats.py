@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 from simulgain.errors import ConfigError
 from simulgain.metrics import ParetoPoint, read_pareto_csv, write_pareto_csv
-from simulgain.policy import (
-    PolicyConfig,
-    load_params,
-    params_to_vector,
-    save_params,
-    vector_to_params,
-)
+from simulgain.policy import PolicyConfig, PolicyParams, load_params, save_params
 from simulgain.streaming import EmissionLog, load_logs, save_logs
 from simulgain.synth import Utterance, load_dataset, save_dataset
 
@@ -59,16 +53,17 @@ json_values = st.one_of(st.none(), st.booleans(), ints, st.floats(allow_nan=Fals
 
 @st.composite
 def checkpoints(draw):
-    """(params, extra) of a small head; the parameters may be any float64, NaN and inf included."""
+    """(params, extra) of a small head; the parameters may be any finite float64."""
     timed = draw(st.booleans())
     config = PolicyConfig(input_dim=draw(st.sampled_from([2, 4] if timed else [1, 2, 3])),
                           hidden_dims=tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
                           use_time_embedding=timed, time_base=draw(st.floats(1.5, 1e4)))
     dims = config.layer_dims
     size = sum(a * b + b for a, b in zip(dims[:-1], dims[1:]))
-    vector = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=np.float64)
+    vector = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)),
+                      dtype=np.float64)
     extra = draw(st.dictionaries(st.text(max_size=6), json_values, max_size=4))
-    return vector_to_params(config, vector), extra
+    return PolicyParams(config, vector), extra
 
 
 def _save_checkpoint(value, path):
@@ -78,7 +73,7 @@ def _save_checkpoint(value, path):
 
 def _canon_checkpoint(value):
     params, extra = value
-    return params.config, params_to_vector(params).tobytes(), json.dumps(extra, sort_keys=True)
+    return params.config, params.theta.tobytes(), json.dumps(extra, sort_keys=True)
 
 
 def _canon_utterance(utt):
@@ -149,17 +144,17 @@ def test_single_byte_corruption(folder, name, data):
     check_corrupted(name, path, blob)
 
 
-# Fixed files, corrupted at every position (every header position for the checkpoint,
-# whose float bytes may take any value) by every byte that can change a number or the
-# structure: 305 -> 3.5, -1, 3e5 are the changes a random search rarely draws.
+# Fixed files, corrupted at every position (every header position for the checkpoint, whose
+# float bytes each make another float, or a NaN or infinity it refuses) by every byte that can
+# change a number or the structure: 305 -> 3.5, -1, 3e5 are the changes a random search rarely draws.
 EXAMPLES = {
     "dataset": [Utterance(id="u-1", duration_s=2.05, target_tokens=[305, 0, 12], boundaries_s=[0.5, 1.25, 2.0],
                           ambiguous_mask=[False, True, False])],
     "emission_logs": [EmissionLog("u-1", [305, 12, 0], [0.25, 0.5, 2.05], 2.05, n_forced=1),
                       EmissionLog("u-2", [], [], 1.5)],
     "pareto_csv": [ParetoPoint(-0.5, 1.25, 33.5, 0.0), ParetoPoint(float("inf"), 0.25, 1e-5, 100.0)],
-    "checkpoint": (vector_to_params(PolicyConfig(input_dim=2, hidden_dims=(2,), use_time_embedding=True),
-                                    np.linspace(-1.0, 1.0, 9)), {"variant": "REINA_TAN", "n": 305}),
+    "checkpoint": (PolicyParams(PolicyConfig(input_dim=2, hidden_dims=(2,), use_time_embedding=True),
+                                np.linspace(-1.0, 1.0, 9)), {"variant": "REINA_TAN", "n": 305}),
 }
 STRUCTURAL_BYTES = b'0123456789.-+eE_,:"[]{} \n\r\\ntfaINx\x00\x7f\x85\xff'
 
@@ -181,8 +176,8 @@ def test_every_structural_byte_change(folder, name):
 
 
 # (format, text of an EXAMPLES file, its replacement): a NaN or infinite number where the format
-# needs a finite one.  An infinite alpha is a valid pareto row (always write), and a checkpoint's
-# weights may take any float64 value.
+# needs a finite one.  An infinite alpha is a valid pareto row (always write).  A checkpoint's
+# non-finite parameters are raw bytes, not text: test_non_finite_checkpoint_parameter_is_config_error.
 NON_FINITE = [
     *[(name, old, new.format(v)) for v in ("NaN", "Infinity") for name, old, new in [
         ("dataset", '"duration_s":2.05', '"duration_s":{}'),
@@ -239,3 +234,21 @@ def test_non_finite_number_is_config_error(folder, name, old, new):
 @pytest.mark.parametrize("name, old, new", WRONG_TYPE)
 def test_value_of_the_wrong_type_is_config_error(folder, name, old, new):
     check_replaced(folder, name, old, new)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_checkpoint_parameter_is_config_error(folder, value):
+    params, extra = EXAMPLES["checkpoint"]
+    path = folder / "checkpoint.non_finite"
+    for i in range(params.theta.shape[0]):
+        bad = params.copy()
+        bad.theta[i] = value
+        save_params(bad, path, extra)
+        with pytest.raises(ConfigError, match=re.escape(f"checkpoint {path}: 1 of 9 parameters are NaN or infinite")):
+            load_params(path)
+
+
+# The example head's layout is [[2, 2], [2, 1], [2], [1]]; any other list is refused, even one of the same size.
+@pytest.mark.parametrize("shapes", ["[[1]]", "[[2,2],[2,1],[1],[2]]", "[[2,2],[2],[2,1],[1]]", "[[9]]", "[]", "null"])
+def test_checkpoint_shapes_other_than_the_configs_are_config_error(folder, shapes):
+    check_replaced(folder, "checkpoint", '"shapes":[[2,2],[2,1],[2],[1]]', f'"shapes":{shapes}')

@@ -14,10 +14,8 @@ from simulgain.policy import (
     forward_with_cache,
     init_params,
     load_params,
-    params_to_vector,
     save_params,
     time_embedding,
-    vector_to_params,
 )
 
 DIM = 16
@@ -25,10 +23,7 @@ DIM = 16
 
 def zeroed(params: PolicyParams) -> PolicyParams:
     out = params.copy()
-    for w in out.weights:
-        w[:] = 0.0
-    for b in out.biases:
-        b[:] = 0.0
+    out.theta[:] = 0.0
     return out
 
 
@@ -83,7 +78,7 @@ class TestConfig:
     def test_tan_requires_matching_embed_dim(self):
         # the encoding is input_dim wide and added to the features before the first layer
         tan = init_params(PolicyConfig(input_dim=DIM, hidden_dims=(8,), use_time_embedding=True, time_base=50.0), 4)
-        plain = PolicyParams(PolicyConfig(input_dim=DIM, hidden_dims=(8,)), tan.weights, tan.biases)
+        plain = PolicyParams(PolicyConfig(input_dim=DIM, hidden_dims=(8,)), tan.theta)
         feats = np.random.default_rng(9).standard_normal((3, DIM))
         times = np.array([0.0, 1.5, 9.0])
         np.testing.assert_array_equal(forward_batch(tan, feats, times),
@@ -176,8 +171,9 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, params):
         rng = np.random.default_rng(6)
         _, cache = forward_with_cache(params, rng.standard_normal((4, DIM)), rng.uniform(0, 5, 4))
-        gw, gb = backward_from_cache(params, cache, np.zeros(4))
-        assert all(np.all(g == 0) for g in gw + gb)
+        grad = backward_from_cache(params, cache, np.zeros(4))
+        assert grad.config == params.config
+        assert np.all(grad.theta == 0)
 
     def test_matches_finite_differences(self, params, variant):
         # independent oracle: central differences of sum(c * scores) over theta
@@ -186,17 +182,16 @@ class TestBackward:
         times = rng.uniform(0, 10, 5)
         contract = rng.standard_normal(5)
         _, cache = forward_with_cache(params, feats, times)
-        gw, gb = backward_from_cache(params, cache, contract)
-        analytic = params_to_vector(PolicyParams(params.config, gw, gb))
-        theta = params_to_vector(params)
+        analytic = backward_from_cache(params, cache, contract).theta
+        theta = params.theta
         h = 1e-5
         coords = rng.choice(theta.shape[0], size=100, replace=False)
         for c in coords:
             bumped = theta.copy()
             bumped[c] += h
-            hi = float(contract @ forward_batch(vector_to_params(params.config, bumped), feats, times))
+            hi = float(contract @ forward_batch(PolicyParams(params.config, bumped), feats, times))
             bumped[c] -= 2 * h
-            lo = float(contract @ forward_batch(vector_to_params(params.config, bumped), feats, times))
+            lo = float(contract @ forward_batch(PolicyParams(params.config, bumped), feats, times))
             numeric = (hi - lo) / (2 * h)
             assert abs(analytic[c] - numeric) <= max(1e-6, 1e-4 * max(abs(analytic[c]), abs(numeric)))
 
@@ -228,7 +223,60 @@ class TestSerialization:
 
 
 def test_vector_round_trip(params):
-    vec = params_to_vector(params)
-    back = vector_to_params(params.config, vec)
-    np.testing.assert_array_equal(params_to_vector(back), vec)
-    assert vec.shape[0] == sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+    back = PolicyParams(params.config, params.theta.copy())
+    assert back.theta.tobytes() == params.theta.tobytes()
+    for a, b in zip(back.weights + back.biases, params.weights + params.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert params.theta.shape[0] == sum(w.size for w in params.weights) + sum(b.size for b in params.biases)
+
+
+class TestOneVector:
+    def test_views_write_through_to_theta(self, params):
+        n_weights = sum(w.size for w in params.weights)
+        params.weights[0][0, 1] = 7.0
+        assert params.theta[1] == 7.0
+        params.biases[0][2] = -3.0
+        assert params.theta[n_weights + 2] == -3.0
+        params.theta[-1] = 0.25
+        assert params.biases[-1][0] == 0.25
+
+    def test_copy_shares_nothing(self, params):
+        before = params.theta.tobytes()
+        twin = params.copy()
+        assert twin.theta.tobytes() == before
+        assert not any(np.shares_memory(a, b) for a in (params.theta, *params.weights, *params.biases)
+                       for b in (twin.theta, *twin.weights, *twin.biases))
+        twin.theta += 1.0
+        for w in twin.weights:
+            w[...] = 5.0
+        assert params.theta.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(216,), (218,), (1, 217)], ids=["short", "long", "matrix"])
+    def test_vector_of_another_shape_is_shape_error(self, shape):
+        config = PolicyConfig(input_dim=DIM, hidden_dims=(8, 8))  # 16*8 + 8*8 + 8*1 weights, 8 + 8 + 1 biases
+        PolicyParams(config, np.zeros(217))
+        with pytest.raises(ShapeError, match="theta"):
+            PolicyParams(config, np.zeros(shape))
+
+    @pytest.mark.parametrize("hidden", [(8, 8), (64, 64), (5,)])
+    @pytest.mark.parametrize("seed", [5, [7, 0x51]])
+    def test_init_is_a_per_layer_uniform_draw(self, variant, hidden, seed):
+        # the reference draws each layer's weights as its own array, as a head held them before it was one vector
+        config = PolicyConfig.for_variant(variant, input_dim=DIM, hidden_dims=hidden)
+        rng = np.random.default_rng(seed)
+        dims = config.layer_dims
+        weights = [rng.uniform(-1.0 / math.sqrt(a), 1.0 / math.sqrt(a), size=(a, b))
+                   for a, b in zip(dims[:-1], dims[1:])]
+        params = init_params(config, seed)
+        assert [w.tobytes() for w in params.weights] == [w.tobytes() for w in weights]
+        assert all(b.shape == (width,) and not b.any() for b, width in zip(params.biases, dims[1:]))
+        flat = np.concatenate([*(w.ravel() for w in weights), np.zeros(sum(dims[1:]))])
+        assert params.theta.tobytes() == flat.tobytes()
+
+    def test_backward_writes_into_out(self, params):
+        rng = np.random.default_rng(12)
+        _, cache = forward_with_cache(params, rng.standard_normal((4, DIM)), rng.uniform(0, 5, 4))
+        upstream = rng.standard_normal(4)
+        out = PolicyParams(params.config, np.full_like(params.theta, np.nan))
+        assert backward_from_cache(params, cache, upstream, out=out) is out
+        assert out.theta.tobytes() == backward_from_cache(params, cache, upstream).theta.tobytes()

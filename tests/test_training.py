@@ -14,7 +14,6 @@ from simulgain.policy import (
     forward_batch,
     forward_with_cache,
     init_params,
-    params_to_vector,
     time_embedding,
 )
 from simulgain.streaming import ThresholdPolicy
@@ -151,7 +150,7 @@ class TestTrain:
         tc = TrainConfig(variant=PolicyVariant.REINA_TAN, steps=30, batch_size=16, rng_seed=7)
         a = train(oracle, dataset, pc, tc, LossWeights())
         b = train(oracle, dataset, pc, tc, LossWeights())
-        np.testing.assert_array_equal(params_to_vector(a.params), params_to_vector(b.params))
+        np.testing.assert_array_equal(a.params.theta, b.params.theta)
         assert [r.loss_total for r in a.records] == [r.loss_total for r in b.records]
 
     def test_record_count_matches_steps(self, env):
@@ -244,12 +243,11 @@ def reference_train(oracle, dataset, pc, tc, weights):
                     align_targets=targets, align_mask=mask, objective=tc.objective)
         _, bd = total_loss(scores, batch.labels, weights, **args)
         dq, dq_next = total_loss_grad(scores, batch.labels, weights, **args)
-        grads_w, grads_b = backward_from_cache(params, cache, dq)
+        pending = backward_from_cache(params, cache, dq)
+        grads = [*pending.weights, *pending.biases]
         if dq_next is not None:
-            extra_w, extra_b = backward_from_cache(params, cache_next, dq_next)
-            grads_w = [g + e for g, e in zip(grads_w, extra_w)]
-            grads_b = [g + e for g, e in zip(grads_b, extra_b)]
-        grads = [*grads_w, *grads_b]
+            adjacent = backward_from_cache(params, cache_next, dq_next)
+            grads = [g + e for g, e in zip(grads, [*adjacent.weights, *adjacent.biases])]
         grad_norm = float(np.sqrt(np.square(np.concatenate([g.ravel() for g in grads])).sum()))
         lr = 1e-3 * min(1.0, (step + 1) / 100)
         c1 = 1.0 - beta1 ** (step + 1)
@@ -261,7 +259,7 @@ def reference_train(oracle, dataset, pc, tc, weights):
             v_i += (1.0 - beta2) * grad * grad
             target -= lr * ((m_i / c1) / (np.sqrt(v_i / c2) + 1e-8) + 1e-4 * target)
         rows.append((step, bd["total"], bd["cov"], bd["mono"], bd["l2"], bd["align"], grad_norm))
-    return rows, params_to_vector(params)
+    return rows, params.theta
 
 
 class TestFusedStep:
@@ -299,7 +297,7 @@ class TestFusedStep:
         got = [(r.step, r.loss_total, r.loss_cov, r.loss_mono, r.loss_l2, r.loss_align, r.grad_norm)
                for r in report.records]
         assert repr(got) == repr(rows)
-        assert params_to_vector(report.params).tobytes() == theta.tobytes()
+        assert report.params.theta.tobytes() == theta.tobytes()
 
 
     def test_time_table_rows_equal_direct_embedding(self, noisy_env):
@@ -329,15 +327,15 @@ class TestFusedStep:
             times = rng.uniform(0.0, 20.0, rows)
             upstream = rng.standard_normal(rows)
             scores, cache = forward_with_cache(params, feats, times)
-            grads_w, grads_b = backward_from_cache(params, cache, upstream)
+            grads = backward_from_cache(params, cache, upstream)
             # stale buffers: every entry must be overwritten
             acts = [None if w is None else np.full((rows, w), np.nan) for w in layer_shapes]
             b_scores, b_cache = forward_with_cache(params, feats, times, out=acts)
-            b_grads_w, b_grads_b = backward_from_cache(params, b_cache, upstream)
+            b_grads = backward_from_cache(params, b_cache, upstream)
             assert b_scores.tobytes() == scores.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(cache, b_cache))
             assert all(b is a for a, b in zip(acts[1:], b_cache[1:]))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(grads_w + grads_b, b_grads_w + b_grads_b))
+            assert b_grads.theta.tobytes() == grads.theta.tobytes()
 
 
 class TestGradCheck:
@@ -364,11 +362,11 @@ class TestGradCheck:
             return total, breakdown, 1.01 * dq, dq_next
 
         for weights in (LossWeights(), LossWeights(lambda_mono=0.0)):
-            clean = params_to_vector(train(oracle, dataset, pc, tc, weights).params)
+            clean = train(oracle, dataset, pc, tc, weights).params.theta
             with monkeypatch.context() as patch:
                 patch.setattr(training, "loss_and_grad", skewed)
                 assert grad_check(pc, weights, variant, seed=11) > 1e-4
-                skewed_params = params_to_vector(train(oracle, dataset, pc, tc, weights).params)
+                skewed_params = train(oracle, dataset, pc, tc, weights).params.theta
             assert skewed_params.tobytes() != clean.tobytes()
 
     @pytest.mark.parametrize("variant", list(PolicyVariant))
@@ -410,8 +408,7 @@ class TestGradCheck:
         scores = np.zeros(8)
         upstream = 2.0 * scores / 8
         _, cache = forward_with_cache(params, feats, times)
-        gw, gb = backward_from_cache(params, cache, upstream)
-        assert all(np.all(g == 0) for g in gw + gb)
+        assert np.all(backward_from_cache(params, cache, upstream).theta == 0)
 
 
 def test_score_grid_matches_pointwise(monkeypatch):
