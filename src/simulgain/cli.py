@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -105,8 +106,25 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _synth_record(synth: SynthConfig) -> dict:
-    """The synth config as a checkpoint header stores it (tuples become lists)."""
+    """The synth config as a checkpoint header and a sweep's meta.json store it (tuples become lists)."""
     return json.loads(json.dumps(dataclasses.asdict(synth)))
+
+
+def _check_record(recorded, ours: dict, kind: str, path, redo: str) -> None:
+    """ConfigError naming the ``kind`` file at ``path`` unless ``recorded``, the record it holds, equals ``ours``.
+
+    ``ours`` is the record the config makes; ``redo`` says how to remake the file.
+    """
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{kind} {path}: records no synth config; {redo}")
+    differing = [f"{key} {recorded.get(key)!r} in the {kind}, {ours.get(key)!r} in the config"
+                 for key in sorted(set(recorded) | set(ours)) if recorded.get(key) != ours.get(key)]
+    if differing:
+        raise ConfigError(f"{kind} {path}: made with other inputs than the config's: {'; '.join(differing)}; {redo}")
+
+
+def _dataset_sha256(cfg: ExperimentConfig) -> str:
+    return hashlib.sha256(Path(cfg.paths.dataset).read_bytes()).hexdigest()
 
 
 def _load_dataset(cfg: ExperimentConfig):
@@ -147,13 +165,7 @@ def _stream_inputs(cfg: ExperimentConfig):
     if params.config.input_dim != cfg.synth.feature_dim:
         raise ConfigError(f"checkpoint {checkpoint}: input_dim {params.config.input_dim} does not match "
                           f"synth.feature_dim {cfg.synth.feature_dim}")
-    if not isinstance(extra.get("synth"), dict):
-        raise ConfigError(f"checkpoint {checkpoint}: records no synth config; retrain it")
-    trained, ours = extra["synth"], _synth_record(cfg.synth)
-    differing = [f"{key} {trained.get(key)!r} in the checkpoint, {ours.get(key)!r} in the config"
-                 for key in sorted(set(trained) | set(ours)) if trained.get(key) != ours.get(key)]
-    if differing:
-        raise ConfigError(f"checkpoint {checkpoint}: trained on another synth config: {'; '.join(differing)}")
+    _check_record(extra.get("synth"), _synth_record(cfg.synth), "checkpoint", checkpoint, "retrain it")
     return dataset, OracleModel(cfg.synth), params, variant
 
 
@@ -190,8 +202,9 @@ def cmd_sweep(args) -> int:
     write_pareto_csv(points, out / "pareto.csv")
     for i, alpha in enumerate(alphas):
         save_logs(logs_by_alpha[alpha], out / f"logs_{i:02d}.jsonl")
-    meta = {"variant": variant, "alphas": list(alphas),
-            "dataset": cfg.paths.dataset, "checkpoint": cfg.paths.checkpoint}
+    meta = {"variant": variant, "alphas": list(alphas), "dataset": cfg.paths.dataset,
+            "dataset_sha256": _dataset_sha256(cfg), "synth": _synth_record(cfg.synth),
+            "checkpoint": cfg.paths.checkpoint}
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n",
                                    encoding="utf-8")
     for p in points:
@@ -205,6 +218,7 @@ def cmd_report(args) -> int:
     cfg = load_config(args.config, args.out)
     require(cfg.band is not None, "band", "required for report (set \"band\": [x, y] in the config)")
     dataset = _load_dataset(cfg)
+    inputs = {**_synth_record(cfg.synth), "dataset_sha256": _dataset_sha256(cfg)}  # what a sweep must record
     oracle = OracleModel(cfg.synth)
     offline = bleu([oracle.greedy_tokens(utt, utt.duration_s, np.arange(utt.n_tokens)) for utt in dataset],
                    [list(u.target_tokens) for u in dataset])  # the full-audio quality NoSE divides by
@@ -216,10 +230,15 @@ def cmd_report(args) -> int:
         sweep_path = Path(sweep_dir)
         meta_path = sweep_path / "meta.json"
         try:
-            variant = json.loads(meta_path.read_text(encoding="utf-8"))["variant"]
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            variant = meta["variant"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"sweep meta {meta_path}: malformed ({exc!r})") from None
         variant = _variant(variant, f"sweep meta {meta_path}")
+        recorded = meta.get("synth")
+        if isinstance(recorded, dict):
+            recorded = {**recorded, "dataset_sha256": meta.get("dataset_sha256")}
+        _check_record(recorded, inputs, "sweep meta", meta_path, "re-run sweep")
         points = read_pareto_csv(sweep_path / "pareto.csv")
         nose_rows.append((variant, index, cfg.band, nose(points, offline, cfg.band)))
         pick = int(np.argmin([abs(p.mean_laal_s - mid) for p in points]))

@@ -9,7 +9,8 @@ Normative definitions used throughout this package:
   d_i - (i-1)/gamma over i = 1..tau.  Raw values are reported; no clamping.
 * BLEU: corpus-level geometric mean of modified 1..4-gram precisions with
   add-one smoothing on zero counts for n >= 2, times the brevity penalty,
-  scaled to [0, 100].  Hypotheses and references are token-id sequences.
+  scaled to [0, 100].  Hypotheses and references are token-id sequences; the
+  score is one combine of the sums of per-sentence sufficient statistics.
 * NoSE: quality-vs-latency points are reduced to their Pareto frontier and
   linearly interpolated; NoSE is the mean interpolated quality over a latency
   band [x, y] divided by the offline (full-audio) quality.
@@ -80,31 +81,30 @@ def laal(log, ref_len: int) -> float:
     return float(np.mean(delays[:tau] - np.arange(tau) / gamma))
 
 
-def _ngram_counts(tokens, order: int) -> Counter:
-    return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+def _sentence_stats(hyp, ref) -> tuple[int, ...]:
+    """BLEU's sufficient statistics of one sentence, read once: hypothesis and reference length,
+    then per order 1..4 the matched n-grams (clipped to the reference's counts) and the hypothesis's n-grams."""
+    hyp, ref = list(hyp), list(ref)
+    hyp_counts, ref_counts = (Counter(tuple(seq[i:i + n]) for n in range(1, 5) for i in range(len(seq) - n + 1))
+                              for seq in (hyp, ref))  # every order in one Counter; a tuple's length is its order
+    matched = [0] * 4
+    for gram, count in hyp_counts.items():
+        matched[len(gram) - 1] += min(count, ref_counts[gram])
+    totals = [max(len(hyp) - n + 1, 0) for n in range(1, 5)]
+    return (len(hyp), len(ref), *(x for pair in zip(matched, totals) for x in pair))
 
 
 def bleu(hyps, refs) -> float:
-    """Corpus BLEU-4 over token-id sequences, in [0, 100]."""
+    """Corpus BLEU-4 over token-id sequences, in [0, 100]: the combine of the summed sentence statistics."""
     if len(hyps) != len(refs):
         raise ShapeError(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not refs or all(len(r) == 0 for r in refs):
         raise MetricError("reference corpus is empty")
-    hyp_len = sum(len(h) for h in hyps)
-    ref_len = sum(len(r) for r in refs)
-    if hyp_len == 0:
+    hyp_len, ref_len, *counts = (sum(column) for column in zip(*map(_sentence_stats, hyps, refs)))
+    if counts[0] == 0:  # no unigram matched, as in a corpus of empty hypotheses
         return 0.0
     log_precision_sum = 0.0
-    for order in range(1, 5):
-        matched = 0
-        total = 0
-        for hyp, ref in zip(hyps, refs):
-            hyp_counts = _ngram_counts(list(hyp), order)
-            ref_counts = _ngram_counts(list(ref), order)
-            matched += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-            total += max(len(hyp) - order + 1, 0)
-        if matched == 0 and order == 1:
-            return 0.0
+    for matched, total in zip(counts[0::2], counts[1::2]):  # orders 1..4, in that order
         precision = matched / total if matched else 1 / (total + 1)  # add-one smoothing for n >= 2
         log_precision_sum += np.log(precision)
     brevity = 1.0 if hyp_len > ref_len else float(np.exp(1.0 - ref_len / hyp_len))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Threshold, check_settings, parse_lines, require, setting, token_ids
+from .errors import ConfigError, Threshold, check_settings, parse_lines, require, setting, token_ids
 from .numerics import sigmoid
 
 _EMBED_STREAM = 0xE1
@@ -180,9 +180,13 @@ class OracleModel:
         self.config = config
         d = config.feature_dim
         emb_rng = np.random.default_rng([config.rng_seed, _EMBED_STREAM])
-        self.token_embeddings = emb_rng.standard_normal((config.vocab_size, d - 2))
         mix_rng = np.random.default_rng([config.rng_seed, _MIXER_STREAM])
-        raw = mix_rng.standard_normal((d, d))
+        try:
+            self.token_embeddings = emb_rng.standard_normal((config.vocab_size, d - 2))
+            raw = mix_rng.standard_normal((d, d))
+        except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the tables
+            raise ConfigError(f"vocab_size, feature_dim: the embeddings of {config.vocab_size} tokens in {d} "
+                              f"dimensions do not fit in memory ({exc})") from None
         q_mat, r_mat = np.linalg.qr(raw)
         # Fix column signs so the orthogonal mixer is unique given the seed.
         self.mixing_matrix = q_mat * np.sign(np.diag(r_mat))[None, :]
@@ -263,7 +267,11 @@ class OracleModel:
     def frame_grid(self, utt: Utterance) -> np.ndarray:
         """Frame-aligned time grid over [0, duration]; the last point is exactly T."""
         frame = self.config.frame_s
-        grid = np.arange(int(math.floor(utt.duration_s / frame + 1e-9)) + 1, dtype=np.float64) * frame
+        try:
+            grid = np.arange(int(math.floor(utt.duration_s / frame + 1e-9)) + 1, dtype=np.float64) * frame
+        except (ValueError, OverflowError, MemoryError) as exc:  # too many frames for numpy, or for a float
+            raise ConfigError(f"frame_ms: {self.config.frame_ms} ms frames of the {utt.duration_s} s utterance "
+                              f"{utt.id} do not fit in memory ({exc})") from None
         return np.append(grid[grid < utt.duration_s - 1e-9], utt.duration_s)
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
@@ -317,7 +325,11 @@ def draw_utterances(config: SynthConfig, count: int) -> Iterator[Utterance]:
 
     def draw(i: int) -> Utterance:
         n_tok = int(rng.integers(lo, hi + 1))
-        gaps = config.mean_token_gap_s + rng.uniform(-config.gap_jitter_s, config.gap_jitter_s, size=n_tok)
+        try:
+            gaps = config.mean_token_gap_s + rng.uniform(-config.gap_jitter_s, config.gap_jitter_s, size=n_tok)
+        except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place n_tok floats
+            raise ConfigError(f"tokens_per_utt_range: an utterance of {n_tok} tokens does not fit in memory "
+                              f"({exc})") from None
         boundaries = np.cumsum(gaps)
         frames = int(math.ceil((boundaries[-1] + config.mean_token_gap_s) / frame - 1e-9))
         tokens = rng.integers(0, config.vocab_size, size=n_tok)

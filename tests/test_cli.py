@@ -285,6 +285,7 @@ class TestSweepAndReport:
         records = [json.loads(line) for line in data.read_text().splitlines()]
         records[1]["id"] = records[0]["id"]
         data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 0  # a sweep of this dataset
         assert main(["report", "--config", str(cfg_path), "--sweeps", str(tmp / "sweep"),
                      "--out", str(tmp / "report")]) == 4
         assert f"dataset repeats utterance id {records[0]['id']}" in capsys.readouterr().err
@@ -566,6 +567,25 @@ def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
     assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("command, synth, message", [
+    ("train", {"vocab_size": 2**62}, f"vocab_size, feature_dim: the embeddings of {2**62} tokens in 16 dimensions"),
+    ("train", {"feature_dim": 2**60}, f"vocab_size, feature_dim: the embeddings of 50 tokens in {2**60} dimensions"),
+    ("gen", {"tokens_per_utt_range": [2**62, 2**62]}, f"tokens_per_utt_range: an utterance of {2**62} tokens"),
+    ("train", {"frame_ms": 1e-300}, "frame_ms: 1e-300 ms frames of the "),
+], ids=["vocab_size", "feature_dim", "tokens_per_utt_range", "frame_ms"])
+def test_synth_setting_too_large_for_memory_is_config_error(workspace, capsys, command, synth, message):
+    # only sizes numpy refuses before it asks for memory: a smaller huge table could be
+    # granted by an overcommitting allocator and then exhaust the machine
+    tmp, cfg_path, config = workspace
+    main(["gen", "--config", str(cfg_path)])
+    write_config(cfg_path, config, synth=synth)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "fit in memory" in err
+    assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
+
+
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):
     # float settings are stored as floats, so new headers record 50.0 where older ones recorded 50
     tmp, cfg_path, config = workspace
@@ -792,6 +812,47 @@ class TestBadInputFiles:
         (sweep_dir / "meta.json").write_text("{")
         assert self.report(cfg_path, sweep_dir) == 2
         assert f"sweep meta {sweep_dir / 'meta.json'}: malformed" in capsys.readouterr().err
+        assert not (sweep_dir.parent / "report").exists()
+
+    def test_sweep_of_another_dataset(self, swept, capsys):
+        # the same utterance ids with other tokens: the report's bins and offline BLEU would be the other dataset's
+        cfg_path, sweep_dir = swept
+        data = sweep_dir.parent / "data.jsonl"
+        records = [json.loads(line) for line in data.read_text().splitlines()]
+        records[0]["tokens"][0] = (records[0]["tokens"][0] + 1) % 50
+        data.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records))
+        assert self.report(cfg_path, sweep_dir) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sweep meta {sweep_dir / 'meta.json'}: made with other inputs" in err
+        assert "dataset_sha256 '" in err and err.rstrip().endswith("; re-run sweep")
+        assert not (sweep_dir.parent / "report").exists()
+
+    def test_sweep_of_another_synth_config(self, swept, capsys, tmp_path):
+        cfg_path, sweep_dir = swept
+        config = json.loads(cfg_path.read_text())
+        other = tmp_path / "other_synth.json"
+        write_config(other, config, synth={"p_max": 0.3, "p_min": 0.2})
+        assert self.report(other, sweep_dir) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sweep meta {sweep_dir / 'meta.json'}: made with other inputs" in err
+        assert "p_max 0.9 in the sweep meta, 0.3 in the config; p_min 0.005 in the sweep meta, 0.2 in the config" in err
+        assert not (sweep_dir.parent / "report").exists()
+
+    @pytest.mark.parametrize("keys, message", [
+        (["synth", "dataset_sha256"], "records no synth config; re-run sweep"),
+        (["dataset_sha256"], "made with other inputs than the config's: dataset_sha256 None in the sweep meta, '"),
+    ], ids=["neither", "dataset_sha256"])
+    def test_sweep_meta_without_its_inputs_record(self, swept, capsys, keys, message):
+        # a sweep written before meta.json recorded its inputs
+        cfg_path, sweep_dir = swept
+        meta_path = sweep_dir / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        for key in keys:
+            del meta[key]
+        meta_path.write_text(json.dumps(meta))
+        assert self.report(cfg_path, sweep_dir) == 2
+        err = capsys.readouterr().err
+        assert f"config error: sweep meta {meta_path}: {message}" in err and "re-run sweep" in err
         assert not (sweep_dir.parent / "report").exists()
 
     def test_missing_sweep_is_io_error(self, swept, capsys):

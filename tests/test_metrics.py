@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,6 +119,50 @@ class TestEndOfSource:
         assert make_log([below, below], T).n_before_end == 2
 
 
+def reference_bleu(hyps, refs):
+    """Corpus BLEU as the nested order x sentence loop, recounting every sentence for each order."""
+    def ngram_counts(tokens, order):
+        return Counter(tuple(tokens[i:i + order]) for i in range(len(tokens) - order + 1))
+
+    if len(hyps) != len(refs):
+        raise ShapeError(f"{len(hyps)} hypotheses vs {len(refs)} references")
+    if not refs or all(len(r) == 0 for r in refs):
+        raise MetricError("reference corpus is empty")
+    hyp_len = sum(len(h) for h in hyps)
+    ref_len = sum(len(r) for r in refs)
+    if hyp_len == 0:
+        return 0.0
+    log_precision_sum = 0.0
+    for order in range(1, 5):
+        matched = 0
+        total = 0
+        for hyp, ref in zip(hyps, refs):
+            hyp_counts = ngram_counts(list(hyp), order)
+            ref_counts = ngram_counts(list(ref), order)
+            matched += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            total += max(len(hyp) - order + 1, 0)
+        if matched == 0 and order == 1:
+            return 0.0
+        precision = matched / total if matched else 1 / (total + 1)
+        log_precision_sum += np.log(precision)
+    brevity = 1.0 if hyp_len > ref_len else float(np.exp(1.0 - ref_len / hyp_len))
+    return float(100.0 * brevity * np.exp(log_precision_sum / 4.0))
+
+
+@st.composite
+def corpora(draw):
+    """(hyps, refs) over a vocabulary of 1-5 ids, so n-grams repeat; empty hypotheses and
+    references occur, at least one reference is not empty, and references may be int64 lists as a sweep passes them."""
+    vocab = draw(st.integers(1, 5))
+    tokens = st.lists(st.integers(0, vocab - 1), max_size=10)
+    size = draw(st.integers(1, 6))
+    hyps = draw(st.lists(tokens, min_size=size, max_size=size))
+    refs = draw(st.lists(tokens, min_size=size, max_size=size).filter(lambda rs: any(rs)))
+    if draw(st.booleans()):
+        refs = [list(np.array(r, dtype=np.int64)) for r in refs]
+    return hyps, refs
+
+
 class TestBleu:
     def test_identity_scores_100(self):
         corpus = [[1, 2, 3], [4, 5], [6]]
@@ -140,6 +185,20 @@ class TestBleu:
 
     def test_empty_hypotheses_score_zero(self):
         assert bleu([[], []], [[1], [2]]) == 0.0
+
+    @given(corpora())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_nested_loop_reference(self, corpus):
+        hyps, refs = corpus
+        assert repr(bleu(hyps, refs)) == repr(reference_bleu(hyps, refs))
+
+    @given(corpora(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_sentence_order_leaves_the_score_bit_identical(self, corpus, rnd):
+        pairs = list(zip(*corpus))
+        rnd.shuffle(pairs)
+        hyps, refs = (list(side) for side in zip(*pairs))
+        assert repr(bleu(hyps, refs)) == repr(bleu(*corpus))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ShapeError):
