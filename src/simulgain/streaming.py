@@ -10,6 +10,7 @@ what defines a read loop: nothing was emitted before the source ran out.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from collections import defaultdict
@@ -79,7 +80,22 @@ class EmissionLog:
         return self.n_before_end == 0
 
 
-class _ScoreTablePolicy:
+class _RowPolicy:
+    """A policy :func:`simulate` walks a row at a time.
+
+    ``_row(utt, t_s, chunks_read)`` scores every token of ``utt`` at one
+    decision time, and the policy reads while the pending token's score
+    exceeds its threshold ``alpha``.  :meth:`wants_read` is the one-decision
+    view of that row, for callers that ask decision by decision.
+    """
+
+    alpha: float
+
+    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
+        return self._row(utt, t_s, chunks_read)[n] > self.alpha
+
+
+class _ScoreTablePolicy(_RowPolicy):
     """Read while the pending token's score, from the subclass's ``_score``, exceeds the threshold alpha.
 
     Scores live in a table with one row of per-token scores for each audio
@@ -105,16 +121,16 @@ class _ScoreTablePolicy:
         other.alpha = self._threshold(alpha)
         return other
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
+    def _row(self, utt: Utterance, t_s: float, chunks_read: int) -> list[float]:
         rows = self._scores[utt]
         row = rows.get(t_s)
         if row is None:
             row = rows[t_s] = self._score(utt, np.full(utt.n_tokens, t_s), np.arange(utt.n_tokens)).tolist()
-        return row[n] > self.alpha
+        return row
 
     def _fill(self, utt: Utterance, chunk: float) -> None:
         """Score every decision row of ``utt`` in one stacked call, each row as a miss would."""
-        times = _decision_times(utt, chunk)
+        times = list(_decision_times(utt, chunk))
         if times:
             t, n = np.meshgrid(times, np.arange(utt.n_tokens), indexing="ij")
             self._scores[utt] = dict(zip(times, self._score(utt, t, n).tolist()))
@@ -147,60 +163,75 @@ class GainThresholdPolicy(_ScoreTablePolicy):
         return self.oracle.info_gain_many(utt, t_s, n)
 
 
-class WaitKPolicy:
-    """Read k chunks up front, then alternate one write with one read."""
+class WaitKPolicy(_RowPolicy):
+    """Read k chunks up front, then alternate one write with one read.
+
+    Its row after ``chunks_read`` chunks scores pending token ``n`` as
+    ``n - (chunks_read - k)`` against a threshold of 0: it reads while more
+    tokens have been written than chunks were read past the first k.
+    """
+
+    alpha = 0
 
     def __init__(self, k: int):
         self.k = setting(k, int, "k")
         require(self.k >= 0, "k", "must be >= 0")
 
-    def wants_read(self, utt: Utterance, t_s: float, n: int, chunks_read: int) -> bool:
-        return n > chunks_read - self.k
+    def _row(self, utt: Utterance, t_s: float, chunks_read: int) -> range:
+        return range(self.k - chunks_read, self.k - chunks_read + utt.n_tokens)
 
 
-def _consumed(chunks_read: int, chunk: float, duration: float) -> float:
-    """Audio consumed after ``chunks_read`` chunks, the time a decision or write is made at."""
-    return min(chunks_read * chunk, duration)
+class _AskedRow:
+    """The row of a policy that only answers ``wants_read``: entry ``n`` asks it once, a read scoring 1 against 0."""
+
+    def __init__(self, policy, utt: Utterance, t_s: float, chunks_read: int):
+        self.policy, self.utt, self.t_s, self.chunks_read = policy, utt, t_s, chunks_read
+
+    def __getitem__(self, n: int) -> bool:
+        return bool(self.policy.wants_read(self.utt, self.t_s, n, self.chunks_read))
 
 
-def _decision_times(utt: Utterance, chunk: float) -> list[float]:
-    """Every time :func:`simulate` can ask ``wants_read`` at: each consumed time short of the end."""
-    times = []
-    t = _consumed(1, chunk, utt.duration_s)
+def _decision_times(utt: Utterance, chunk: float):
+    """Every time :func:`simulate` decides at, in order: ``k * chunk`` for k = 1, 2, ... while short of the end."""
+    k, t = 1, chunk
     while t < utt.duration_s - _END_EPS:
-        times.append(t)
-        t = _consumed(len(times) + 1, chunk, utt.duration_s)
-    return times
+        yield t
+        k += 1
+        t = k * chunk
 
 
 def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) -> EmissionLog:
-    """Run one utterance through the chunked read/write loop.
+    """Run one utterance through the chunked read/write walk.
 
-    While audio remains, ``policy.wants_read(utt, t_s, n, chunks_read)`` is
-    asked whether to read another chunk or write pending token ``n`` (the
-    count of tokens written so far) at the consumed time ``t_s``.  The first
-    decision happens after one chunk has been consumed, so every delay is
-    strictly positive.  Audio never rewinds; several tokens may be emitted at
-    the same prefix.  The loop records only the write times; the tokens are
-    decoded in one :meth:`OracleModel.greedy_tokens` call after it.
+    At each decision time ``t_s = chunks_read * chunk`` short of the end,
+    the first after one chunk, the walk takes the policy's row of per-token
+    scores once (wait-k's is ``n - (chunks_read - k)`` against 0).  It writes
+    pending token ``n``, the count written so far, at ``t_s`` while
+    ``row[n]`` does not exceed the policy's threshold, then reads the next
+    chunk.  A policy with only ``wants_read`` is asked
+    ``bool(policy.wants_read(utt, t_s, n, chunks_read))`` once per decision.
+    Tokens still pending at the end are force-emitted at T.  The walk
+    records only the write times; the tokens are decoded in one
+    :meth:`OracleModel.greedy_tokens` call after it.
     """
-    duration = utt.duration_s
-    chunk = config.chunk_s
-    chunks_read = 1
-    t = _consumed(chunks_read, chunk, duration)
+    if isinstance(policy, _RowPolicy):
+        row_at, alpha = policy._row, policy.alpha
+    else:
+        row_at, alpha = functools.partial(_AskedRow, policy), 0
+    n_tokens = utt.n_tokens
     delays: list[float] = []
     n = 0
-    while n < utt.n_tokens and t < duration - _END_EPS:
-        if policy.wants_read(utt, t, n, chunks_read):
-            chunks_read += 1
-            t = _consumed(chunks_read, chunk, duration)
-        else:
+    for chunks_read, t in enumerate(_decision_times(utt, config.chunk_s), 1):
+        row = row_at(utt, t, chunks_read)
+        while n < n_tokens and not row[n] > alpha:
             delays.append(t)
             n += 1
-    n_forced = utt.n_tokens - n
-    delays += [duration] * n_forced
-    tokens = oracle.greedy_tokens(utt, delays, np.arange(utt.n_tokens))
-    return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
+        if n == n_tokens:
+            break
+    n_forced = n_tokens - n
+    delays += [utt.duration_s] * n_forced
+    tokens = oracle.greedy_tokens(utt, delays, np.arange(n_tokens))
+    return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=utt.duration_s, n_forced=n_forced)
 
 
 def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,

@@ -15,8 +15,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -331,7 +333,12 @@ def draw_utterances(config: SynthConfig, count: int) -> Iterator[Utterance]:
             raise ConfigError(f"tokens_per_utt_range: an utterance of {n_tok} tokens does not fit in memory "
                               f"({exc})") from None
         boundaries = np.cumsum(gaps)
-        frames = int(math.ceil((boundaries[-1] + config.mean_token_gap_s) / frame - 1e-9))
+        span = float(boundaries[-1]) + config.mean_token_gap_s
+        try:
+            frames = int(math.ceil(span / frame - 1e-9))
+        except OverflowError as exc:  # more frames than a float can count
+            raise ConfigError(f"frame_ms: {config.frame_ms} ms frames of the {span} s utterance utt-{i:05d} "
+                              f"do not fit in memory ({exc})") from None
         tokens = rng.integers(0, config.vocab_size, size=n_tok)
         ambiguous = rng.random(n_tok) < config.ambiguity_prob
         aligned = bool(rng.random() < config.aligned_prob)
@@ -375,9 +382,20 @@ def utterance_from_json(line: str) -> Utterance:
 
 
 def save_dataset(utterances, path) -> None:
-    """Write one JSON line per utterance, each as it is drawn from ``utterances``."""
-    with open(path, "w", encoding="utf-8") as out:
-        out.writelines(utterance_to_json(u) + "\n" for u in utterances)
+    """Write one JSON line per utterance, each as it is drawn from ``utterances``.
+
+    The lines go to a temporary file beside ``path`` that replaces it only
+    after the last one, so a draw that fails leaves ``path`` as it was.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8") as out:
+            out.writelines(utterance_to_json(u) + "\n" for u in utterances)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_dataset(path) -> list[Utterance]:

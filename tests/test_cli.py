@@ -80,6 +80,19 @@ class TestGen:
         assert main(["gen", "--config", str(zero)]) == 2
         assert digest(tmp / "data.jsonl") == first
 
+    @pytest.mark.parametrize("synth", [{"tokens_per_utt_range": [2**62, 2**62]}, {"frame_ms": 1e-310}],
+                             ids=["tokens_per_utt_range", "frame_ms"])
+    def test_refused_draw_leaves_the_dataset_alone(self, workspace, synth):
+        # refused inside the draw, after the dataset's replacement has been opened
+        tmp, cfg_path, config = workspace
+        main(["gen", "--config", str(cfg_path)])
+        before = (tmp / "data.jsonl").read_bytes()
+        files = sorted(p.name for p in tmp.iterdir())
+        write_config(cfg_path, config, synth=synth)
+        assert main(["gen", "--config", str(cfg_path)]) == 2
+        assert (tmp / "data.jsonl").read_bytes() == before
+        assert sorted(p.name for p in tmp.iterdir()) == files
+
     def test_out_flag_is_refused(self, workspace, capsys):
         # gen writes only paths.dataset, so an output directory would be ignored
         tmp, cfg_path, _ = workspace
@@ -572,7 +585,8 @@ def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
     ("train", {"feature_dim": 2**60}, f"vocab_size, feature_dim: the embeddings of 50 tokens in {2**60} dimensions"),
     ("gen", {"tokens_per_utt_range": [2**62, 2**62]}, f"tokens_per_utt_range: an utterance of {2**62} tokens"),
     ("train", {"frame_ms": 1e-300}, "frame_ms: 1e-300 ms frames of the "),
-], ids=["vocab_size", "feature_dim", "tokens_per_utt_range", "frame_ms"])
+    ("gen", {"frame_ms": 1e-310}, "frame_ms: 1e-310 ms frames of the "),
+], ids=["vocab_size", "feature_dim", "tokens_per_utt_range", "frame_ms", "gen-frame_ms"])
 def test_synth_setting_too_large_for_memory_is_config_error(workspace, capsys, command, synth, message):
     # only sizes numpy refuses before it asks for memory: a smaller huge table could be
     # granted by an overcommitting allocator and then exhaust the machine

@@ -113,6 +113,16 @@ class TestSimulate:
         assert log.delays_s == [0.1]
         assert log.n_forced == 1
 
+    def test_any_truthy_answer_reads(self, env, stream):
+        # a policy that only answers wants_read is taken at bool() of each answer
+        _, oracle, dataset = env
+        for answer, alpha in [("read", -math.inf), (np.float64(0.5), -math.inf), ([], math.inf), (0, math.inf)]:
+            policy = FixedScorePolicy(0.0, 0.0)
+            policy.wants_read = lambda *args, answer=answer: answer
+            for utt in dataset:
+                got = simulate(oracle, utt, policy, stream)
+                assert got == simulate(oracle, utt, FixedScorePolicy(0.0, alpha), stream), (answer, utt.id)
+
     def test_time_within_the_end_margin_forces_the_tail(self, env):
         # three chunks reach 0.75 s, within 1e-12 of T: the source has run out,
         # so both tokens are forced at T instead of offered to the policy
@@ -338,8 +348,10 @@ class TestSimulatorProperties:
     @given(case=stream_cases())
     def test_invariants(self, case):
         oracle, utt, config, policy, alpha = case
+        walked = simulate(oracle, utt, policy, config)  # the policy's rows, with its misses
         recorder = RecordingPolicy(policy)
-        log = simulate(oracle, utt, recorder, config)
+        log = simulate(oracle, utt, recorder, config)  # one wants_read per decision
+        assert dataclasses.asdict(walked) == dataclasses.asdict(log)
         T = utt.duration_s
         d = np.asarray(log.delays_s)
         assert len(log.tokens) == utt.n_tokens and not log.truncated
@@ -442,6 +454,37 @@ class TestDecodeAfterScan:
             for utt in dataset:
                 got = emission_log_to_json(simulate(oracle, utt, policy, config))
                 assert got == emission_log_to_json(reference_simulate(oracle, utt, reference, config)), utt.id
+
+    @pytest.mark.parametrize("chunk_ms", [130.0, 250.0])
+    def test_library_policies_are_never_asked_per_decision(self, world, chunk_ms, monkeypatch):
+        # simulate and sweep walk the library policies' rows: a wants_read call would raise
+        cfg, oracle, dataset = world
+        config = StreamConfig(chunk_ms=chunk_ms)
+        _, params, alphas = next(self.heads(cfg, oracle, dataset))
+        gains, ks = [0.0, 0.05, 0.5, -math.inf, math.inf], [0, 2, 5]
+
+        def reference_logs(make, thresholds):
+            return {float(a): [emission_log_to_json(reference_simulate(oracle, u, make(a), config)) for u in dataset]
+                    for a in thresholds}
+
+        def asked(*args):
+            raise AssertionError("asked wants_read")
+
+        cases = [(lambda a: ThresholdPolicy(oracle, params, a), alphas,
+                  reference_logs(lambda a: RowThresholdPolicy(oracle, params, a), alphas)),
+                 (GainThresholdPolicy(oracle, 0.5).with_alpha, gains,
+                  reference_logs(lambda g: GainRowPolicy(oracle, g), gains)),
+                 (lambda k: WaitKPolicy(int(k)), ks, reference_logs(WaitKPolicy, ks))]
+        for cls in (ThresholdPolicy, GainThresholdPolicy, WaitKPolicy):
+            monkeypatch.setattr(cls, "wants_read", asked)
+        for make, thresholds, want in cases:
+            for a in thresholds:
+                policy = make(a)
+                assert [emission_log_to_json(simulate(oracle, u, policy, config)) for u in dataset] == want[a], a
+            _, logs = sweep(oracle, None, dataset, thresholds, config, policy_factory=make, collect_logs=True)
+            assert {a: [emission_log_to_json(log) for log in got] for a, got in logs.items()} == want
+        _, logs = sweep(oracle, params, dataset, alphas, config, collect_logs=True)
+        assert {a: [emission_log_to_json(log) for log in got] for a, got in logs.items()} == cases[0][2]
 
     def test_row_score_equals_one_row_forward(self, world):
         # a decision flips only where |score - alpha| is within this gap: the row and one-row
