@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics  # sweep calls metrics.<name>, so a wrapper set on that module (a trace) sees the call
-from .errors import Threshold, check_settings, parse_lines, require, setting, token_ids
+from .errors import ConfigError, Threshold, check_settings, parse_lines, require, setting, token_ids
 from .policy import PolicyParams, forward_batch
 from .policy import forward  # noqa: F401  (re-exported; perfbench traces it under this name)
 from .synth import OracleModel, Utterance
@@ -200,6 +200,16 @@ def _decision_times(utt: Utterance, chunk: float):
         t = k * chunk
 
 
+def _check_decision_count(utt: Utterance, config: StreamConfig) -> None:
+    """ConfigError unless numpy has room for a score row per decision time of ``utt``, counted, not listed."""
+    try:
+        count = max(0, math.ceil((utt.duration_s - _END_EPS) / config.chunk_s) - 1)
+        np.empty((count, utt.n_tokens))
+    except (ZeroDivisionError, OverflowError, ValueError, MemoryError) as exc:  # too many decisions for numpy
+        raise ConfigError(f"chunk_ms: {config.chunk_ms} ms chunks of the {utt.duration_s} s utterance {utt.id} "
+                          f"do not fit in memory ({exc})") from None
+
+
 def simulate(oracle: OracleModel, utt: Utterance, policy, config: StreamConfig) -> EmissionLog:
     """Run one utterance through the chunked read/write walk.
 
@@ -243,11 +253,15 @@ def sweep(oracle: OracleModel, params: PolicyParams | None, dataset, alphas,
     lets reference policies reuse the same harness; a bound ``with_alpha``
     shares one table over all alphas.  The default policies do, and their
     table is filled before the first alpha, so every decision of the sweep
-    is a table hit.  Output order follows the input alphas.
+    is a table hit.  Output order follows the input alphas.  Before any of
+    that, each utterance's decision times are counted: a count for whose
+    score rows numpy has no room is a ConfigError naming ``chunk_ms``.
     """
     alphas = [setting(alpha, Threshold, "alpha") for alpha in alphas]
     require(len(alphas) > 0, "alphas", "must be non-empty")
     require(bool(dataset), "dataset", "must be non-empty")
+    for utt in dataset:
+        _check_decision_count(utt, config)
     if policy_factory is None:
         require(params is not None, "params", "required unless a policy_factory is given")
         policy = ThresholdPolicy(oracle, params, alphas[0])

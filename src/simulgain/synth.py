@@ -25,6 +25,12 @@ import numpy as np
 from .errors import ConfigError, Threshold, check_settings, parse_lines, require, setting, token_ids
 from .numerics import sigmoid
 
+# The greedy decode decides a state more than _DECODE_BAND (in ramp units) from
+# its token's decode time by the side it lies on, where the rise there is at
+# least _DECODE_SLOPE_MIN; see OracleModel._decode_band for why that is exact.
+_DECODE_BAND = 1e-6
+_DECODE_SLOPE_MIN = 1e-6
+
 _EMBED_STREAM = 0xE1
 _MIXER_STREAM = 0xE2
 _DATASET_STREAM = 0xE3
@@ -192,6 +198,7 @@ class OracleModel:
         q_mat, r_mat = np.linalg.qr(raw)
         # Fix column signs so the orthogonal mixer is unique given the seed.
         self.mixing_matrix = q_mat * np.sign(np.diag(r_mat))[None, :]
+        self._band = self._decode_band(config)
 
     # -- probabilities ----------------------------------------------------
 
@@ -205,6 +212,41 @@ class OracleModel:
         """Kernel probabilities for parallel (t_s, n) arrays of one utterance."""
         return oracle_states(self.config, t_s, utt.boundaries_s[np.asarray(n, dtype=np.int64)])[0]
 
+    @staticmethod
+    def _decode_band(config: SynthConfig) -> tuple[float, float]:
+        """The ramp coordinates ``(x* - g, x* + g)`` outside which a state is decided by its side of x*.
+
+        With ``s* = (1/V - p_min) / (p_max - p_min)`` the target wins iff
+        ``sigmoid(x) > s*``, that is iff ``x > x* = logit(s*)``.  Without a
+        crossing inside the ramp, or with a rise too flat for the margin
+        below, the band is the whole line and the log rule decides every state.
+
+        Why a state outside the band gets the log rule's token exactly.  The
+        log rule sees ``p^``, a function of the state's ``x^ = (t - t*) / ramp_s``
+        alone, whose relative error from ``p(x^)`` is below 1e-14 (five
+        roundings and numpy's exp, plus an underflow far from any crossing).
+        With ``g = _DECODE_BAND`` and ``x^`` at least ``g`` from x*, the
+        logistic's ``s(x* +- g) = s* e^(+-g) / (1 - s* + s* e^(+-g))`` gives
+        ``|p(x^) V - 1| >= m = (1 - V p_min)(1 - s*) g (1 - 1e-3)``; the 1e-3
+        also covers the rounding of x* itself, below 3e-10 when both factors
+        are at least 1e-6.  So ``|p^ V - 1| >= m - 1.1e-14``, and the exact
+        difference of the two logs the rule compares, ``log(p^ (V - 1) / (1 - p^))``,
+        rising with ``p^`` and 0 at 1/V, is at least that in size.  Rounding moves that
+        difference ``d`` by at most ``(|d| + 2 ln V + 2) * 2**-52``, under
+        ``|d| * 2**-52 + 2.1e-14`` for any V below 2**64.  So the sign is
+        the side of x* whenever ``m`` exceeds 3.2e-14.  The fast path needs
+        ``(1 - V p_min)(1 - s*) >= _DECODE_SLOPE_MIN``, so ``m >= 9.9e-13``:
+        a margin above 30 at its limit, and above 2e7 on the shipped
+        configs (V = 50, both factors' product 0.74 or more).
+        """
+        v = config.vocab_size
+        below, above = 1 / v - config.p_min, config.p_max - 1 / v  # s* / (1 - s*) = below / above
+        # (1 - V p_min)(1 - s*), at most 0 without a crossing: p_min < p_max, so below and above are never both <= 0
+        if v * below * above / (config.p_max - config.p_min) < _DECODE_SLOPE_MIN:
+            return -math.inf, math.inf
+        x_star = math.log(below / above)
+        return x_star - _DECODE_BAND, x_star + _DECODE_BAND
+
     def greedy_tokens(self, utt: Utterance, t_s, n) -> list[int]:
         """Greedy decode of the pending tokens ``n`` of one utterance at times ``t_s``.
 
@@ -214,11 +256,47 @@ class OracleModel:
         ``(1 - p) / (vocab_size - 1)``.  Each token is the argmax of its
         log: the target if ``log p`` beats the log of that residual mass,
         else the lowest id of a maximum, which is 0 on a tie or when the
-        target is not 0, and 1 otherwise.  The logs are taken with
-        ``math.log`` because a vectorized log may round differently and one
-        ulp decides a tie.
+        target is not 0, and 1 otherwise.
+
+        That log rule needs the kernel's ``p`` and two ``math.log`` calls a
+        state, but ``p`` rises with the ramp coordinate ``x = (t - t*) / ramp_s``
+        and the target wins exactly past one x*, the token's decode time.  So
+        a state whose ``x`` (the kernel's first two operations, bit for bit)
+        lies outside a band of 1e-6 around x* is the target above it and the
+        lowest other id below; only states inside the band, or every state
+        of an oracle whose rise is too flat at its crossing (or that has
+        none), take the log rule.  :meth:`_decode_band` proves that outside
+        the band the log rule's rounding cannot flip the comparison, so the
+        result equals the log rule's token for token.
         """
         n = np.asarray(n, dtype=np.int64)
+        times = np.asarray(t_s, dtype=np.float64)
+        times = (times if times.shape == n.shape else np.broadcast_to(times, n.shape)).tolist()
+        targets = utt.target_tokens[n].tolist()
+        ramp_s = self.config.ramp_s
+        lo, hi = self._band
+        tokens, near = [], []
+        for i, (t, start, target) in enumerate(zip(times, utt.boundaries_s[n].tolist(), targets)):
+            x = (t - start) / ramp_s
+            if x > hi:
+                tokens.append(target)
+            elif x < lo:
+                tokens.append(int(target == 0))
+            else:
+                tokens.append(None)
+                near.append(i)
+        if near:
+            decided = self._log_rule(utt, [times[i] for i in near], n[near])
+            for i, token in zip(near, decided):
+                tokens[i] = token
+        return tokens
+
+    def _log_rule(self, utt: Utterance, t_s: list[float], n: np.ndarray) -> list[int]:
+        """The decode as defined, state by state: the kernel's ``p``, then the logs with ``math.log``.
+
+        ``math.log`` rather than a vectorized log, which may round differently:
+        one ulp decides a tie.
+        """
         others = self.config.vocab_size - 1
         tokens = []
         for p, target in zip(self._prob(utt, t_s, n).tolist(), utt.target_tokens[n].tolist()):

@@ -600,6 +600,21 @@ def test_synth_setting_too_large_for_memory_is_config_error(workspace, capsys, c
     assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
 
 
+def test_chunk_too_small_for_memory_is_config_error(workspace, capsys):
+    # the decision times are counted before any is listed; 1e-300 ms gives a count numpy
+    # refuses before it asks for memory, where listing them would exhaust the machine
+    tmp, cfg_path, config = workspace
+    main(["gen", "--config", str(cfg_path)])
+    main(["train", "--config", str(cfg_path)])
+    write_config(cfg_path, config, stream={"chunk_ms": 1e-300})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: chunk_ms: 1e-300 ms chunks of the ") and "utt-00000" in err
+    assert "fit in memory" in err and "Traceback" not in err
+    assert not (tmp / "sweep").exists()
+
+
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):
     # float settings are stored as floats, so new headers record 50.0 where older ones recorded 50
     tmp, cfg_path, config = workspace

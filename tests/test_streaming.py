@@ -26,6 +26,8 @@ from simulgain.streaming import (
 from simulgain.synth import OracleModel, SynthConfig, Utterance, generate_dataset
 from simulgain.training import score_info_gain_grid
 
+from oracle_reference import argmax_token
+
 
 @pytest.fixture(scope="module")
 def env():
@@ -398,7 +400,7 @@ def row_scores(oracle, params, utt, t_s):
 
 
 def reference_simulate(oracle, utt, policy, config):
-    """The loop ``simulate`` replaced: each token is decoded as it is written."""
+    """The loop ``simulate`` replaced: each token is decoded as it is written, by its log-probabilities' argmax."""
     duration, chunk = utt.duration_s, config.chunk_s
     chunks_read, t, n = 1, min(chunk, duration), 0
     tokens, delays = [], []
@@ -407,12 +409,12 @@ def reference_simulate(oracle, utt, policy, config):
             chunks_read += 1
             t = min(chunks_read * chunk, duration)
         else:
-            tokens.append(oracle.greedy_token(utt, t, n))
+            tokens.append(argmax_token(oracle, utt, t, n))
             delays.append(t)
             n += 1
     n_forced = utt.n_tokens - n
     for n in range(n, utt.n_tokens):
-        tokens.append(oracle.greedy_token(utt, duration, n))
+        tokens.append(argmax_token(oracle, utt, duration, n))
         delays.append(duration)
     return EmissionLog(utt_id=utt.id, tokens=tokens, delays_s=delays, duration_s=duration, n_forced=n_forced)
 
@@ -630,6 +632,32 @@ class TestDecodeAfterScan:
                         fresh = ThresholdPolicy(oracle, params, alpha)
                         assert (emission_log_to_json(simulate(oracle, utt, policy, config))
                                 == emission_log_to_json(simulate(oracle, utt, fresh, config))), utt.id
+
+
+def test_pathology_sweep_decodes_by_decode_time(monkeypatch):
+    # the greedy decode takes the log rule only within 1e-6 ramps of a token's decode time: on the
+    # pathology config's sweep no write lands there, so a decode that took the logs for every state shows
+    cfg = SynthConfig(rng_seed=41, vocab_size=50, ambiguity_prob=0.3, p_min=1e-6)
+    oracle, dataset = OracleModel(cfg), generate_dataset(cfg, 100)
+    params = init_params(PolicyConfig.for_variant(PolicyVariant.REINA_TAN, cfg.feature_dim, hidden_dims=(16,)), 41)
+    scores, _ = score_info_gain_grid(oracle, params, dataset)
+    alphas = [1e3, *np.quantile(scores, np.linspace(0.1, 0.9, 8)), -1e3]
+    decoded, by_logs = [], []
+    greedy_tokens, log_rule = OracleModel.greedy_tokens, OracleModel._log_rule
+
+    def counting_greedy_tokens(self, utt, t_s, n):
+        decoded.append(len(n))
+        return greedy_tokens(self, utt, t_s, n)
+
+    def counting_log_rule(self, utt, t_s, n):
+        by_logs.append(len(n))
+        return log_rule(self, utt, t_s, n)
+
+    monkeypatch.setattr(OracleModel, "greedy_tokens", counting_greedy_tokens)
+    monkeypatch.setattr(OracleModel, "_log_rule", counting_log_rule)
+    sweep(oracle, params, dataset, alphas, StreamConfig())
+    assert sum(decoded) == len(alphas) * sum(u.n_tokens for u in dataset)
+    assert sum(by_logs) == 0
 
 
 class TestParamsSnapshot:

@@ -19,11 +19,12 @@ from simulgain.synth import (
     draw_utterances,
     generate_dataset,
     load_dataset,
-    oracle_states,
     save_dataset,
     utterance_to_json,
 )
 from simulgain.training import TrainConfig, sample_batch, score_info_gain_grid
+
+from oracle_reference import argmax_token, correct_token_prob, logprob
 
 
 def sigmoid(x):
@@ -114,22 +115,6 @@ class TestGeneration:
         assert 0.2 < flags.mean() < 0.8
 
 
-# -- the next-token distribution written out from the kernel ------------------
-
-def correct_token_prob(oracle, utt, t_s, n):
-    """Probability the oracle puts on the correct pending token n at time t_s."""
-    return float(oracle_states(oracle.config, [t_s], utt.boundaries_s[[n]])[0][0])
-
-
-def logprob(oracle, utt, t_s, n):
-    """Full next-token log-probability vector: log p on the target, log((1 - p) / (V - 1)) elsewhere."""
-    p = correct_token_prob(oracle, utt, t_s, n)
-    vocab = oracle.config.vocab_size
-    out = np.full(vocab, math.log((1.0 - p) / (vocab - 1)))
-    out[int(utt.target_tokens[n])] = math.log(p)
-    return out
-
-
 class TestCorrectTokenProb:
     def test_at_boundary_is_midpoint(self, oracle, dataset):
         utt = dataset[0]
@@ -200,21 +185,60 @@ class TestLogprob:
             assert oracle.greedy_token(utt, t, n) == int(utt.target_tokens[n])
 
 
-def argmax_token(oracle, utt, t_s, n):
-    """The greedy decode as first written: argmax of the full log-probability vector."""
-    return int(np.argmax(logprob(oracle, utt, t_s, n)))
+def decode_time_states(cfg, utt):
+    """(time, token) states at each token's decode time, 1-3 ulps either side, and the same about x* +- 1e-6.
+
+    The target wins once ``sigmoid((t - t*) / ramp_s)`` passes
+    ``s* = (1/V - p_min) / (p_max - p_min)``, at ramp coordinate
+    ``x* = log((1/V - p_min) / (p_max - 1/V))``; an oracle without such a
+    crossing has no decode time.
+    """
+    below, above = 1 / cfg.vocab_size - cfg.p_min, cfg.p_max - 1 / cfg.vocab_size
+    if below <= 0 or above <= 0:
+        return []
+    x_star = math.log(below / above)
+    states = []
+    for n, boundary in enumerate(utt.boundaries_s.tolist()):
+        for offset in (0.0, -1e-6, 1e-6):
+            t = boundary + cfg.ramp_s * (x_star + offset)
+            for direction in (-math.inf, math.inf):
+                step = t
+                for _ in range(4):
+                    if 0.0 <= step <= utt.duration_s:
+                        states.append((step, n))
+                    step = float(np.nextafter(step, direction))
+    return states
 
 
 @st.composite
 def decode_cases(draw):
-    """An oracle, an utterance and (time, token) states, ties included."""
-    if draw(st.booleans()):  # the tie config: at t = t*, p = 0.25 = (1 - p) / 3
-        cfg = SynthConfig(vocab_size=4, p_min=0.1, p_max=0.4, noise_std=draw(st.sampled_from([0.0, 0.3])))
-    else:
+    """An oracle, an utterance and (time, token) states: ties, decode times, and oracles with no clean crossing."""
+    vocab = draw(st.sampled_from([2, 3, 4, 50]))
+    near = 10 ** draw(st.floats(-14, -4))  # relative distance of a crossing from either end of the ramp
+    kind = draw(st.sampled_from(["tie", "free", "p_min at least 1/V", "p_max at most 1/V",
+                                 "crossing near p_min", "crossing near p_max"]))
+    if kind == "tie":  # at t = t*, p = 0.25 = (1 - p) / 3
+        vocab, p_min, p_max = 4, 0.1, 0.4
+    elif kind == "free":
         p_min = draw(st.floats(1e-4, 0.5))
-        cfg = SynthConfig(vocab_size=draw(st.sampled_from([2, 3, 4, 50])), p_min=p_min,
-                          p_max=draw(st.floats(p_min + 1e-3, 0.999)), ramp_s=draw(st.floats(0.05, 1.0)),
-                          noise_std=draw(st.sampled_from([0.0, 0.3])), rng_seed=draw(st.integers(0, 2**31)))
+        p_max = draw(st.floats(p_min + 1e-3, 0.999))
+    elif kind == "p_min at least 1/V":
+        p_min = draw(st.sampled_from([1 / vocab, 1 / vocab * (1 + near), draw(st.floats(1 / vocab, 0.7))]))
+        p_max = draw(st.floats(p_min + 1e-3, 0.999))
+    elif kind == "p_max at most 1/V":
+        p_max = draw(st.sampled_from([1 / vocab, 1 / vocab * (1 - near), draw(st.floats(1e-3, 1 / vocab))]))
+        p_min = draw(st.floats(1e-6, p_max / 2))
+    elif kind == "crossing near p_min":  # 1 - V p_min = near
+        p_min = 1 / vocab * (1 - near)
+        p_max = draw(st.floats(1 / vocab + 1e-3, 0.999))
+    else:  # p_max - 1/V = near / V
+        p_max = 1 / vocab * (1 + near)
+        p_min = draw(st.floats(1e-6, 0.5 / vocab))
+    # a crossing near either end lies some 30 ramps from the boundary: short ramps keep it inside the utterance
+    ramps = st.floats(1e-3, 0.02) if kind.startswith("crossing") else st.floats(0.05, 1.0)
+    ramp_s = 0.25 if kind == "tie" else draw(ramps)
+    cfg = SynthConfig(vocab_size=vocab, p_min=p_min, p_max=p_max, ramp_s=ramp_s,
+                      noise_std=draw(st.sampled_from([0.0, 0.3])), rng_seed=draw(st.integers(0, 2**31)))
     n_tok = draw(st.integers(1, 6))
     boundaries = np.cumsum(draw(st.lists(st.floats(0.05, 1.5), min_size=n_tok, max_size=n_tok)))
     duration = float(boundaries[-1]) + draw(st.floats(0.0, 1.0))
@@ -222,6 +246,7 @@ def decode_cases(draw):
     utt = make_utterance(boundaries, duration, tokens=draw(st.lists(token, min_size=n_tok, max_size=n_tok)))
     time = st.one_of(st.floats(0.0, duration), st.sampled_from([float(b) for b in boundaries]), st.just(duration))
     states = draw(st.lists(st.tuples(time, st.integers(0, n_tok - 1)), min_size=1, max_size=12))
+    states += decode_time_states(cfg, utt)
     return OracleModel(cfg), utt, [t for t, _ in states], [n for _, n in states]
 
 
