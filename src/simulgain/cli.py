@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, NumericError, Threshold, check_settings, require, setting
+from .errors import ConfigError, MetricError, NumericError, Threshold, check_settings, fits, require, setting
 from .losses import LossWeights
 from .metrics import (
     LatencyBand,
@@ -246,8 +246,9 @@ def cmd_report(args) -> int:
         bins_rows.append((variant, index, latency_vs_position(logs, dataset, _LATENCY_BINS)))
 
     utt = dataset[0]
-    n, t = np.meshgrid(np.arange(utt.n_tokens), oracle.frame_grid(utt), indexing="ij")
-    gains = oracle.info_gain_many(utt, t, n)
+    with fits("frame_ms", f"the information-gain grid of the {utt.duration_s} s utterance {utt.id} does not fit"):
+        n, t = np.meshgrid(np.arange(utt.n_tokens), oracle.frame_grid(utt), indexing="ij")
+        gains = oracle.info_gain_many(utt, t, n)
     out = _out_dir(cfg)
     write_nose_csv(nose_rows, out / "nose.csv")
     write_latency_bins_csv(bins_rows, out / "latency_bins.csv")

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the setting checks and input-file parsers that raise them."""
 
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -67,6 +68,23 @@ def require(condition: bool, field: str, message: str) -> None:
     """ConfigError ``<field>: <message>`` unless ``condition`` holds."""
     if not condition:
         raise ConfigError(f"{field}: {message}")
+
+
+@contextlib.contextmanager
+def fits(field: str, what: str):
+    """The one rule for sizes: in the block, an allocation too large for memory is a ConfigError naming ``field``.
+
+    numpy refusing a shape (ValueError) or failing to place it (MemoryError), a
+    count too large for a float (OverflowError) and a step that underflows to 0
+    (ZeroDivisionError) read ``<field>: <what> in memory (<reason>)``.  The
+    package's own errors pass through, though they are ValueErrors too.
+    """
+    try:
+        yield
+    except (ConfigError, ShapeError, BatchError, MetricError):
+        raise
+    except (ValueError, MemoryError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{field}: {what} in memory ({exc})") from None
 
 
 def setting(value, kind, field: str):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, Threshold, check_settings, parse_lines, require, setting, token_ids
+from .errors import Threshold, check_settings, fits, parse_lines, require, setting, token_ids
 from .numerics import sigmoid
 
 # The greedy decode decides a state more than _DECODE_BAND (in ramp units) from
@@ -189,12 +189,10 @@ class OracleModel:
         d = config.feature_dim
         emb_rng = np.random.default_rng([config.rng_seed, _EMBED_STREAM])
         mix_rng = np.random.default_rng([config.rng_seed, _MIXER_STREAM])
-        try:
+        with fits("vocab_size, feature_dim",
+                  f"the embeddings of {config.vocab_size} tokens in {d} dimensions do not fit"):
             self.token_embeddings = emb_rng.standard_normal((config.vocab_size, d - 2))
             raw = mix_rng.standard_normal((d, d))
-        except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the tables
-            raise ConfigError(f"vocab_size, feature_dim: the embeddings of {config.vocab_size} tokens in {d} "
-                              f"dimensions do not fit in memory ({exc})") from None
         q_mat, r_mat = np.linalg.qr(raw)
         # Fix column signs so the orthogonal mixer is unique given the seed.
         self.mixing_matrix = q_mat * np.sign(np.diag(r_mat))[None, :]
@@ -347,12 +345,10 @@ class OracleModel:
     def frame_grid(self, utt: Utterance) -> np.ndarray:
         """Frame-aligned time grid over [0, duration]; the last point is exactly T."""
         frame = self.config.frame_s
-        try:
+        with fits("frame_ms", f"{self.config.frame_ms} ms frames of the {utt.duration_s} s utterance {utt.id} "
+                              "do not fit"):
             grid = np.arange(int(math.floor(utt.duration_s / frame + 1e-9)) + 1, dtype=np.float64) * frame
-        except (ValueError, OverflowError, MemoryError) as exc:  # too many frames for numpy, or for a float
-            raise ConfigError(f"frame_ms: {self.config.frame_ms} ms frames of the {utt.duration_s} s utterance "
-                              f"{utt.id} do not fit in memory ({exc})") from None
-        return np.append(grid[grid < utt.duration_s - 1e-9], utt.duration_s)
+            return np.append(grid[grid < utt.duration_s - 1e-9], utt.duration_s)
 
     def write_boundary(self, utt: Utterance, n: int, gain_threshold: float) -> float:
         """Earliest grid time at which waiting is worth at most ``gain_threshold``."""
@@ -380,7 +376,8 @@ class DatasetIndex:
         self.n_frames = np.array([g.shape[0] for g in grids], dtype=np.int64)
         self.offsets = np.cumsum(self.n_tokens) - self.n_tokens
         self.frame_offsets = np.cumsum(self.n_frames) - self.n_frames
-        self.flat_times = np.concatenate(grids)
+        with fits("frame_ms", f"{oracle.config.frame_ms} ms frames of {len(self.utterances)} utterances do not fit"):
+            self.flat_times = np.concatenate(grids)
         self.flat_tokens = np.concatenate([u.target_tokens for u in self.utterances])
         self.flat_boundaries = np.concatenate([u.boundaries_s for u in self.utterances])
         self.flat_ambiguous = np.concatenate([u.ambiguous_mask for u in self.utterances])
@@ -405,18 +402,12 @@ def draw_utterances(config: SynthConfig, count: int) -> Iterator[Utterance]:
 
     def draw(i: int) -> Utterance:
         n_tok = int(rng.integers(lo, hi + 1))
-        try:
+        with fits("tokens_per_utt_range", f"an utterance of {n_tok} tokens does not fit"):
             gaps = config.mean_token_gap_s + rng.uniform(-config.gap_jitter_s, config.gap_jitter_s, size=n_tok)
-        except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place n_tok floats
-            raise ConfigError(f"tokens_per_utt_range: an utterance of {n_tok} tokens does not fit in memory "
-                              f"({exc})") from None
         boundaries = np.cumsum(gaps)
         span = float(boundaries[-1]) + config.mean_token_gap_s
-        try:
-            frames = int(math.ceil(span / frame - 1e-9))
-        except OverflowError as exc:  # more frames than a float can count
-            raise ConfigError(f"frame_ms: {config.frame_ms} ms frames of the {span} s utterance utt-{i:05d} "
-                              f"do not fit in memory ({exc})") from None
+        with fits("frame_ms", f"{config.frame_ms} ms frames of the {span} s utterance utt-{i:05d} do not fit"):
+            frames = max(1, int(math.ceil(span / frame - 1e-9)))  # at least one frame, however short the span
         tokens = rng.integers(0, config.vocab_size, size=n_tok)
         ambiguous = rng.random(n_tok) < config.ambiguity_prob
         aligned = bool(rng.random() < config.aligned_prob)

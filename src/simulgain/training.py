@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, check_settings, require
+from .errors import NumericError, check_settings, fits, require
 from .losses import LossWeights, align_target, loss_and_grad
 from .losses import total_loss, total_loss_grad  # noqa: F401  (re-exported; perfbench traces them under these names)
 from .metrics import write_csv
@@ -263,13 +263,9 @@ def train(oracle: OracleModel, dataset, policy_config: PolicyConfig,
         warnings.warn("alignment-aware variant trained with zero aligned utterances; alignment term will be 0")
 
     params = init_params(policy_config, [train_config.rng_seed, _INIT_STREAM])
-    try:
+    with fits("batch_size", f"{train_config.batch_size} rows do not fit"):  # the step workspaces
         head = _FlatHead(params, index.flat_times, train_config.batch_size, train_config.variant, loss_weights,
                          train_config.objective)
-    except ConfigError:  # the head's variant check, not a workspace
-        raise
-    except (ValueError, MemoryError) as exc:  # numpy refuses or cannot place the step workspaces
-        raise ConfigError(f"batch_size: {train_config.batch_size} rows do not fit in memory ({exc})") from None
     rng = np.random.default_rng([train_config.rng_seed, _SAMPLE_STREAM])
     optimizer = AdamW(head.theta.shape[0])
     records: list[StepRecord] = []

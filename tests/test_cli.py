@@ -4,18 +4,19 @@ import enum
 import hashlib
 import json
 import math
+import sys
 import typing
 import warnings
 
 import numpy as np
 import pytest
 
-from simulgain.cli import ExperimentConfig, build_parser, main
-from simulgain.errors import Threshold
+from simulgain.cli import ExperimentConfig, build_parser, cmd_report, main
+from simulgain.errors import BatchError, ConfigError, MetricError, NumericError, ShapeError, Threshold, fits
 from simulgain.losses import LossWeights
 from simulgain.policy import forward_batch, load_params, save_params
-from simulgain.streaming import StreamConfig, save_logs, sweep
-from simulgain.synth import OracleModel, SynthConfig, load_dataset
+from simulgain.streaming import StreamConfig, ThresholdPolicy, save_logs, sweep
+from simulgain.synth import DatasetIndex, OracleModel, SynthConfig, load_dataset
 from simulgain.training import TrainConfig
 
 
@@ -92,6 +93,17 @@ class TestGen:
         assert main(["gen", "--config", str(cfg_path)]) == 2
         assert (tmp / "data.jsonl").read_bytes() == before
         assert sorted(p.name for p in tmp.iterdir()) == files
+
+    @pytest.mark.parametrize("synth", [{"mean_token_gap_s": 1e-12, "gap_jitter_s": 0.0},
+                                       {"mean_token_gap_s": 1e-300, "gap_jitter_s": 0.0}, {"frame_ms": 1e308}],
+                             ids=["gap-1e-12", "gap-1e-300", "frame_ms-1e308"])
+    def test_utterance_shorter_than_a_frame_lasts_one_frame(self, workspace, synth):
+        # ceil(span / frame - 1e-9) is 0 for a span under a billionth of a frame; the utterance lasts one
+        tmp, cfg_path, config = workspace
+        write_config(cfg_path, config, synth=synth)
+        assert main(["gen", "--config", str(cfg_path)]) == 0
+        frame_s = SynthConfig(**config["synth"]).frame_s
+        assert {u.duration_s for u in load_dataset(config["paths"]["dataset"])} == {frame_s}
 
     def test_out_flag_is_refused(self, workspace, capsys):
         # gen writes only paths.dataset, so an output directory would be ignored
@@ -568,51 +580,89 @@ def test_integer_too_large_for_a_float_is_config_error(workspace, capsys, settin
     assert not (tmp / "data.jsonl").exists()
 
 
-def test_batch_size_too_large_for_memory_is_config_error(workspace, capsys):
-    # numpy refuses step workspaces of 2**62 rows before touching memory; a smaller huge
-    # batch could be accepted by an overcommitting allocator and then exhaust the machine
-    tmp, cfg_path, config = workspace
-    main(["gen", "--config", str(cfg_path)])
-    write_config(cfg_path, config, train={"batch_size": 2**62, "steps": 2})
-    capsys.readouterr()
-    assert main(["train", "--config", str(cfg_path)]) == 2
-    assert f"config error: batch_size: {2**62} rows do not fit in memory" in capsys.readouterr().err
-    assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
+def tree_of(tmp):
+    """Every path under ``tmp``, a file's with its digest."""
+    return {path.relative_to(tmp): path.is_file() and digest(path) for path in tmp.rglob("*")}
 
 
-@pytest.mark.parametrize("command, synth, message", [
-    ("train", {"vocab_size": 2**62}, f"vocab_size, feature_dim: the embeddings of {2**62} tokens in 16 dimensions"),
-    ("train", {"feature_dim": 2**60}, f"vocab_size, feature_dim: the embeddings of 50 tokens in {2**60} dimensions"),
-    ("gen", {"tokens_per_utt_range": [2**62, 2**62]}, f"tokens_per_utt_range: an utterance of {2**62} tokens"),
-    ("train", {"frame_ms": 1e-300}, "frame_ms: 1e-300 ms frames of the "),
-    ("gen", {"frame_ms": 1e-310}, "frame_ms: 1e-310 ms frames of the "),
-], ids=["vocab_size", "feature_dim", "tokens_per_utt_range", "frame_ms", "gen-frame_ms"])
-def test_synth_setting_too_large_for_memory_is_config_error(workspace, capsys, command, synth, message):
-    # only sizes numpy refuses before it asks for memory: a smaller huge table could be
-    # granted by an overcommitting allocator and then exhaust the machine
+NO_ROOM = "Unable to allocate 1.37 GiB for an array with shape (1637499, 7, 16) and data type float64"
+
+
+def no_room_in(caller, allocate):
+    """``allocate``, except that a call from the function ``caller`` raises numpy's MemoryError."""
+    def call(*args, **kwargs):
+        if sys._getframe(1).f_code is caller.__code__:
+            raise MemoryError(NO_ROOM)
+        return allocate(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("command, settings, message, fault", [
+    ("train", {"synth": {"vocab_size": 2**62}},
+     f"vocab_size, feature_dim: the embeddings of {2**62} tokens in 16 dimensions", None),
+    ("train", {"synth": {"feature_dim": 2**60}},
+     f"vocab_size, feature_dim: the embeddings of 50 tokens in {2**60} dimensions", None),
+    ("gen", {"synth": {"tokens_per_utt_range": [2**62, 2**62]}},
+     f"tokens_per_utt_range: an utterance of {2**62} tokens", None),
+    ("train", {"synth": {"frame_ms": 1e-300}}, "frame_ms: 1e-300 ms frames of the ", None),
+    ("gen", {"synth": {"frame_ms": 1e-310}}, "frame_ms: 1e-310 ms frames of the ", None),
+    ("train", {}, "frame_ms: 50.0 ms frames of the ", (np, "append", OracleModel.frame_grid)),
+    ("train", {}, "frame_ms: 50.0 ms frames of 8 utterances do not fit", (np, "concatenate", DatasetIndex.__init__)),
+    ("report", {}, "frame_ms: the information-gain grid of the ", (np, "meshgrid", cmd_report)),
+    ("train", {"train": {"batch_size": 2**62, "steps": 2}}, f"batch_size: {2**62} rows do not fit in memory", None),
+    ("sweep", {"stream": {"chunk_ms": 1e-300}}, "chunk_ms: 1e-300 ms chunks of the ", None),
+    ("sweep", {}, "chunk_ms: 250.0 ms chunks of the ", (OracleModel, "features_many", ThresholdPolicy._score)),
+], ids=["vocab_size", "feature_dim", "tokens_per_utt_range", "frame_ms", "gen-frame_ms", "frame_ms-grid",
+        "frame_ms-index", "frame_ms-report", "batch_size", "chunk_ms", "chunk_ms-fill"])
+def test_synth_setting_too_large_for_memory_is_config_error(workspace, capsys, monkeypatch, command, settings, message,
+                                                           fault):
+    # every setting that sizes an allocation, synth or not, is refused by the one rule of errors.fits.
+    # Only sizes numpy refuses before it asks for memory: a smaller huge table could be granted by an
+    # overcommitting allocator and then exhaust the machine.  An allocation numpy cannot place is a
+    # MemoryError injected in-process at the call that makes it (``fault``): a 0.004 ms chunk, say,
+    # only runs out under a memory cap.
     tmp, cfg_path, config = workspace
     main(["gen", "--config", str(cfg_path)])
-    write_config(cfg_path, config, synth=synth)
+    if command in ("sweep", "report"):
+        main(["train", "--config", str(cfg_path)])
+    if command == "report":
+        main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")])
+    write_config(cfg_path, config, **settings)
+    if fault:
+        target, name, caller = fault
+        monkeypatch.setattr(target, name, no_room_in(caller, getattr(target, name)))
+    before = tree_of(tmp)
     capsys.readouterr()
-    assert main([command, "--config", str(cfg_path)]) == 2
+    paths = {"sweep": ["--out", str(tmp / "sweep")], "report": ["--sweeps", str(tmp / "sweep")]}.get(command, [])
+    assert main([command, "--config", str(cfg_path), *paths]) == 2
     err = capsys.readouterr().err
-    assert f"config error: {message}" in err and "fit in memory" in err
-    assert not (tmp / "policy.ckpt").exists() and not (tmp / "out").exists()
+    assert err.startswith(f"config error: {message}") and "fit in memory" in err and "Traceback" not in err
+    if command == "sweep":  # the refusal names the utterance
+        assert " s utterance utt-00000 do not fit in memory (" in err
+    if fault:  # and gives numpy's reason
+        assert err.rstrip().endswith(f"({NO_ROOM})")
+    assert tree_of(tmp) == before
 
 
-def test_chunk_too_small_for_memory_is_config_error(workspace, capsys):
-    # the decision times are counted before any is listed; 1e-300 ms gives a count numpy
-    # refuses before it asks for memory, where listing them would exhaust the machine
-    tmp, cfg_path, config = workspace
-    main(["gen", "--config", str(cfg_path)])
-    main(["train", "--config", str(cfg_path)])
-    write_config(cfg_path, config, stream={"chunk_ms": 1e-300})
-    capsys.readouterr()
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp / "sweep")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: chunk_ms: 1e-300 ms chunks of the ") and "utt-00000" in err
-    assert "fit in memory" in err and "Traceback" not in err
-    assert not (tmp / "sweep").exists()
+@pytest.mark.parametrize("error", [ValueError("maximum supported dimension for an ndarray is 64"),
+                                   MemoryError("Unable to allocate 8.00 EiB"), OverflowError("int too large"),
+                                   ZeroDivisionError("float division by zero")], ids=lambda e: type(e).__name__)
+def test_fits_refuses_a_size_by_its_setting(error):
+    with pytest.raises(ConfigError) as info:
+        with fits("chunk_ms", "1e-300 ms chunks do not fit"):
+            raise error
+    assert str(info.value) == f"chunk_ms: 1e-300 ms chunks do not fit in memory ({error})"
+    assert info.value.__cause__ is None and info.value.__suppress_context__  # raised from None
+
+
+@pytest.mark.parametrize("error", [ConfigError("variant: unknown"), ShapeError("lengths differ"), BatchError("empty"),
+                                   MetricError("empty band"), NumericError("non-finite loss"), KeyError("id")],
+                         ids=lambda e: type(e).__name__)
+def test_fits_passes_other_errors_through(error):
+    with pytest.raises(type(error)) as info:
+        with fits("batch_size", "4 rows do not fit"):
+            raise error
+    assert info.value is error
 
 
 def test_checkpoint_that_records_an_integer_float_is_accepted(workspace):

@@ -12,6 +12,8 @@ find it on the module).  ``__init__.py`` re-exports by design and is
 exempt.  Likewise every private (``_name``) function, method, class and
 module constant of the package must be read somewhere in the package, so a
 refactor cannot leave a helper behind that only its tests still call.
+And only ``errors.py`` catches the errors of a size that does not fit, so
+every such refusal goes through its one rule, ``errors.fits``.
 """
 
 import ast
@@ -158,3 +160,38 @@ def test_package_reads_every_private_name():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert {"streaming", "synth", "training"} <= set(sources)
     assert orphaned_private_names(sources) == []
+
+
+SIZE_ERRORS = {"MemoryError", "OverflowError", "ZeroDivisionError"}
+
+
+def size_catches(source: str, name: str) -> list[str]:
+    """``line: exception`` of each size error an ``except`` clause of ``source`` names, unless it is ``errors.py``.
+
+    A size that does not fit is refused by the one rule, ``errors.fits``;
+    a module that caught these itself would be a second copy of it.
+    """
+    if name == "errors.py":
+        return []
+    return [f"{node.lineno}: {caught}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            for caught in sorted({getattr(part, "id", getattr(part, "attr", None)) for part in ast.walk(node.type)}
+                                 & SIZE_ERRORS)]
+
+
+@pytest.mark.parametrize("source, name, caught", [
+    ("try:\n    pass\nexcept (ValueError, MemoryError) as exc:\n    pass\n", "synth.py", ["3: MemoryError"]),
+    ("try:\n    pass\nexcept OverflowError:\n    pass\n", "synth.py", ["3: OverflowError"]),
+    ("try:\n    pass\nexcept builtins.ZeroDivisionError:\n    pass\n", "cli.py", ["3: ZeroDivisionError"]),
+    ("try:\n    pass\nexcept (MemoryError, OverflowError):\n    pass\n", "errors.py", []),
+    ("try:\n    pass\nexcept ValueError:\n    pass\n", "synth.py", []),
+    ("try:\n    pass\nexcept:\n    raise\n", "synth.py", []),
+    ("x = MemoryError\n", "synth.py", []),
+])
+def test_size_catches_are_found(source, name, caught):
+    assert size_catches(source, name) == caught
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_size_errors_are_caught_only_by_the_one_rule(path):
+    assert size_catches(path.read_text(encoding="utf-8"), path.name) == []
